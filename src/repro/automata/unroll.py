@@ -41,6 +41,15 @@ from repro.automata.engine import Engine, LevelKernel, acquire_engine
 from repro.automata.nfa import NFA, State, Symbol, Word, as_word
 from repro.errors import AutomatonError
 
+#: Keys the predecessor-fan memo of one :class:`UnrolledAutomaton` holds
+#: before it is cleared.  Far above the distinct ``(level, handle)`` frontiers
+#: of ordinary runs, so the clear only fires on long-word runs (one key per
+#: level at least), where it bounds the memo at ``O(cap * |alphabet|)``
+#: handles instead of ``O(n)``.  A constant rather than a knob: the
+#: clearing pattern feeds ``pre_ops``, which must not depend on the
+#: backend, store or worker count.
+FAN_MEMO_CAP = 1 << 13
+
 
 @dataclass
 class ReachabilityCache:
@@ -318,13 +327,15 @@ class UnrolledAutomaton:
         same automaton reuse one set of transition tables; ``False`` builds
         a private engine (the CLI's ``--no-engine-cache``).
     kernel:
-        Level-kernel policy: ``"auto"`` (the default) negotiates a
+        Level-kernel policy of the :class:`ReachabilityCache`: ``"auto"``
+        (the default) negotiates a
         :class:`~repro.automata.engine.LevelKernel` when the engine's
         declared :class:`~repro.automata.engine.EngineCapabilities` carry
-        ``level_kernel=True``; ``"off"`` forces the scalar path everywhere.
-        Negotiation never changes observable behaviour — estimates, RNG
-        streams, and the representation-independent work counters are
-        bit-identical with the kernel on or off.
+        ``level_kernel=True``; ``"off"`` forces the scalar path.
+        :attr:`kernel_active` reports the cache's outcome.  Negotiation
+        never changes observable behaviour — estimates, RNG streams, and
+        the representation-independent work counters are bit-identical
+        with the kernel on or off.
 
     Notes
     -----
@@ -372,13 +383,9 @@ class UnrolledAutomaton:
             kernel=kernel,
         )
         self.kernel = kernel
-        # The predecessor fan negotiates independently of the cache: it
-        # never touches cached words, so the cache-bound fallback rule does
-        # not apply to it.
-        self._level_kernel: Optional[LevelKernel] = None
-        if kernel != "off" and self.engine.capabilities().level_kernel:
-            self._level_kernel = self.engine.level_kernel()
-        self.kernel_active = self._level_kernel is not None
+        # Predecessor-fan memo, keyed on ``(level, handle)``; see
+        # :meth:`predecessor_fan`.
+        self._fan_memo: Dict[Tuple[int, object], Tuple[Tuple[Symbol, object], ...]] = {}
         self._live_handles: List[object] = self._compute_live_handles()
         # Live-set frozensets are decoded lazily: eager decoding cost
         # O(n * m) up front even for runs that only ever touch handles, and
@@ -449,31 +456,37 @@ class UnrolledAutomaton:
             engine.pre(handle, symbol), self._live_handles[level - 1]
         )
 
-    def predecessor_fan(self, handle: object, level: int) -> List[object]:
-        """``Pred(Q', b)`` of a handle for every alphabet symbol, in order.
+    def predecessor_fan(
+        self, handle: object, level: int
+    ) -> Tuple[Tuple[Symbol, object], ...]:
+        """The non-empty ``(b, Pred(Q', b))`` pairs of a handle, in alphabet order.
 
-        The backward sampler queries all symbols of one frontier handle at
-        each level; a negotiated level kernel answers the fan through
-        :meth:`~repro.automata.engine.LevelKernel.pre_level` (restricted to
-        the live states one level down), while scalar engines fall back to
-        one :meth:`predecessor_handle` call per symbol.  Handles and
-        ``pre_ops`` accounting are identical either way.
+        Each predecessor handle is restricted to the states live at
+        ``level - 1``; symbols whose restricted predecessor set is empty are
+        left out, so every returned branch carries mass.  The backward
+        sampler asks for the fan of its frontier handle at every level of
+        every draw, but the answer depends only on ``(level, handle)`` over
+        frozen tables, so it is memoised on that key: the engine's
+        ``pre_ops`` count the fans actually computed, not the calls.  The
+        memo holds at most :data:`FAN_MEMO_CAP` keys and is cleared when
+        full — a fixed constant, so the clearing pattern (and with it every
+        counter) is the same on every backend, store and worker count.
         """
-        self._check_level(level)
-        engine = self.engine
-        alphabet = self.nfa.alphabet
-        if level == 0:
-            return [engine.empty for _ in alphabet]
-        live = self._live_handles[level - 1]
-        kernel = self._level_kernel
-        if kernel is None:
-            return [
-                engine.intersect(engine.pre(handle, symbol), live)
-                for symbol in alphabet
-            ]
-        fan: List[object] = []
-        for symbol in alphabet:
-            fan.extend(kernel.pre_level([handle], symbol, restrict=live))
+        memo = self._fan_memo
+        key = (level, handle)
+        fan = memo.get(key)
+        if fan is not None:
+            return fan
+        is_empty = self.engine.is_empty
+        branches = []
+        for symbol in self.nfa.alphabet:
+            predecessors = self.predecessor_handle(handle, symbol, level)
+            if not is_empty(predecessors):
+                branches.append((symbol, predecessors))
+        fan = tuple(branches)
+        if len(memo) >= FAN_MEMO_CAP:
+            memo.clear()
+        memo[key] = fan
         return fan
 
     def predecessors_of_set(
@@ -634,6 +647,11 @@ class UnrolledAutomaton:
         counters["cache_flushes"] = self.cache.cache_flushes
         counters["engine_cache_hit"] = int(self.engine_cache_hit)
         return counters
+
+    @property
+    def kernel_active(self) -> bool:
+        """Whether the reachability cache negotiated a level kernel."""
+        return self.cache.kernel_active
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.length:

@@ -93,9 +93,9 @@ class ParameterScale:
         descent read-free on sparse automata.
     reuse_descent_steps:
         Opt-in memo for the backward sampler's descent.  A descent step at
-        ``(level, state-set)`` whose per-symbol union estimates were all
-        produced *without consuming randomness* (empty predecessor sets or
-        the ``singleton_union_exact`` path) is a pure function of the frozen
+        ``(level, state-set)`` whose per-branch union estimates were all
+        produced *without consuming randomness* (the
+        ``singleton_union_exact`` path) is a pure function of the frozen
         lower-level tables, so later draws replay it from a memo instead of
         re-deriving predecessor handles and union estimates.  Replay
         consumes exactly the same randomness as recomputation (the one

@@ -112,9 +112,9 @@ class SampleDraw:
         self._union_cache: Dict[Tuple[int, object], float] = {}
         # Cross-batch descent memo (see ParameterScale.reuse_descent_steps):
         # owned by the caller so it outlives this per-batch instance.  One
-        # slot per level — ``(state-set handle, weights, branch handles,
-        # total)`` — interned through ``step_intern`` so levels with equal
-        # step data share one tuple.  Only randomness-free steps are ever
+        # slot per level — ``(state-set handle, total, branch table)`` —
+        # interned through ``step_intern`` so levels with equal step data
+        # share one tuple.  Only randomness-free steps are ever
         # stored, which is what makes replay bit-identical to recomputation;
         # a slot holding a different state-set than the descent's current
         # one simply recomputes (and takes over the slot).
@@ -149,15 +149,12 @@ class SampleDraw:
         # reversing once at the end) instead of the historical
         # ``(symbol,) + word`` tuple prepend, which cost O(level) per step
         # and made long words quadratic.  The RNG call sequence — one
-        # ``random()`` per level in ``_choose_symbol`` plus whatever the
+        # ``random()`` per level for the branch choice plus whatever the
         # union estimates consume — is unchanged, so the rework is
         # bit-identical.
         engine = self.unroll.engine
         predecessor_fan = self.unroll.predecessor_fan
-        is_empty = engine.is_empty
         estimate_union = self._estimate_union
-        alphabet = self.unroll.nfa.alphabet
-        last_index = len(alphabet) - 1
         step_memo = self._step_memo
         statistics = self.statistics
         rng_random = self.rng.random
@@ -169,41 +166,35 @@ class SampleDraw:
                 entry = step_memo[current_level]
                 if entry is not None and entry[0] == current:
                     # Replay of a randomness-free step: the same single
-                    # ``random()`` the slow path's ``_choose_symbol`` would
-                    # consume, the same running-sum tie-breaking, the same
-                    # branch probability — nothing observable differs.
-                    _, weights, branch_handles, total = entry
+                    # ``random()`` the slow path would consume, walked over
+                    # the same running sums (see ``_branch_table``), the
+                    # same branch probability — nothing observable differs.
+                    # The walk is inlined: long-word descents replay
+                    # millions of steps.
+                    _, total, branches = entry
                     point = rng_random() * total
-                    running = 0.0
-                    index = last_index
-                    for position, weight in enumerate(weights):
-                        running += weight
+                    for running, symbol, branch, probability in branches:
                         if point <= running:
-                            index = position
                             break
-                    phi /= weights[index] / total
-                    reversed_word.append(alphabet[index])
-                    current = branch_handles[index]
+                    phi /= probability
+                    reversed_word.append(symbol)
+                    current = branch
                     continue
                 union_calls_before = statistics.union_calls
                 union_hits_before = statistics.union_cache_hits
-            # One fan call per level: the whole-alphabet predecessor query
-            # goes through the negotiated level kernel when the backend
-            # declares one, and degrades to the scalar per-symbol loop
-            # otherwise — handles, counters and the RNG stream are
-            # bit-identical either way.
-            symbol_estimates: Dict[Symbol, float] = {}
-            symbol_predecessors: Dict[Symbol, object] = {}
+            # One fan call per level.  The fan is memoised per
+            # ``(level, handle)`` by the unrolling and lists only the
+            # symbols whose live predecessor set is non-empty, so every
+            # branch below gets a union estimate and empty symbols — which
+            # contribute 0.0 to the total and can never be chosen — cost
+            # nothing.
             fan = predecessor_fan(current, current_level)
-            for symbol, predecessors in zip(alphabet, fan):
-                symbol_predecessors[symbol] = predecessors
-                if is_empty(predecessors):
-                    symbol_estimates[symbol] = 0.0
-                    continue
-                symbol_estimates[symbol] = estimate_union(
-                    predecessors, current_level - 1, beta, eta_prime
-                )
-            total = sum(symbol_estimates.values())
+            lower = current_level - 1
+            weights = [
+                estimate_union(predecessors, lower, beta, eta_prime)
+                for _, predecessors in fan
+            ]
+            total = sum(weights)
             if total <= 0.0:
                 self.statistics.failures_no_mass += 1
                 return None
@@ -213,27 +204,22 @@ class SampleDraw:
                 and statistics.union_cache_hits == union_hits_before
             ):
                 # Every estimate above came from an intrinsically
-                # randomness-free path (empty predecessors or the
-                # singleton-exact shortcut) over frozen lower-level tables,
-                # so the step may be replayed verbatim by any later draw —
-                # including across batches and sharded workers.  Steps that
-                # touched AppUnion (or even its per-batch cache) are left
-                # out: they re-randomise per batch and must keep doing so.
-                entry = (
-                    current,
-                    tuple(symbol_estimates[symbol] for symbol in alphabet),
-                    tuple(symbol_predecessors[symbol] for symbol in alphabet),
-                    total,
-                )
+                # randomness-free path (the singleton-exact shortcut) over
+                # frozen lower-level tables, so the step may be replayed
+                # verbatim by any later draw — including across batches and
+                # sharded workers.  Steps that touched AppUnion (or even its
+                # per-batch cache) are left out: they re-randomise per batch
+                # and must keep doing so.
+                entry = (current, total, _branch_table(fan, weights, total))
                 intern = self._step_intern
                 if intern is not None:
                     entry = intern.setdefault(entry, entry)
                 step_memo[current_level] = entry
-            symbol = self._choose_symbol(symbol_estimates, total)
-            branch_probability = symbol_estimates[symbol] / total
+            index = _choose_branch(weights, rng_random() * total)
+            branch_probability = weights[index] / total
             phi /= branch_probability
+            symbol, current = fan[index]
             reversed_word.append(symbol)
-            current = symbol_predecessors[symbol]
 
         # Base case (level 0).
         if phi > 1.0:
@@ -315,13 +301,43 @@ class SampleDraw:
             self._union_cache[cache_key] = result.estimate
         return result.estimate
 
-    def _choose_symbol(self, estimates: Dict[Symbol, float], total: float) -> Symbol:
-        """Pick a symbol with probability proportional to its union estimate."""
-        point = self.rng.random() * total
-        running = 0.0
-        symbols = list(estimates)
-        for symbol in symbols:
-            running += estimates[symbol]
+
+def _choose_branch(weights: Sequence[float], point: float) -> int:
+    """Index of the branch that ``point`` falls into along the running sum.
+
+    ``point`` is ``random() * total``.  The first branch whose running
+    weight sum reaches ``point`` is chosen.  Zero weights are skipped, so a
+    zero-weight branch is never chosen, not even when ``point`` is 0.0.  A
+    ``point`` beyond the running sum (float rounding) falls back to the last
+    positive branch.  The caller guarantees a positive total.
+    """
+    running = 0.0
+    chosen = -1
+    for index, weight in enumerate(weights):
+        if weight > 0.0:
+            chosen = index
+            running += weight
             if point <= running:
-                return symbol
-        return symbols[-1]
+                break
+    return chosen
+
+
+def _branch_table(
+    fan: Sequence[Tuple[Symbol, object]], weights: Sequence[float], total: float
+) -> Tuple[Tuple[float, Symbol, object, float], ...]:
+    """:func:`_choose_branch`'s walk over ``fan``, precomputed for replay.
+
+    One ``(running sum, symbol, branch handle, branch probability)`` entry
+    per positive-weight branch, in fan order.  The first entry whose
+    running sum reaches ``random() * total`` is the branch
+    :func:`_choose_branch` picks, and the last entry is its fallback; the
+    sums and probabilities are the same float operations, so a replayed
+    step is bit-identical to the computed one.
+    """
+    running = 0.0
+    table = []
+    for (symbol, branch), weight in zip(fan, weights):
+        if weight > 0.0:
+            running += weight
+            table.append((running, symbol, branch, weight / total))
+    return tuple(table)

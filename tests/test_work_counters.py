@@ -40,9 +40,12 @@ EXPECTED = {
 
 #: Locked mask-level engine accounting (backend-independent by parity;
 #: ``decode_ops`` is excluded — it is representation-specific by design).
+#: ``pre_ops`` counts the predecessor fans actually computed: the fan is
+#: memoised per ``(level, handle)``, so it is one ``pre`` per symbol per
+#: distinct frontier, not per sampler step (10850 before the memo).
 EXPECTED_ENGINE = {
     "step_ops": 225,
-    "pre_ops": 10850,
+    "pre_ops": 94,
     "cache_words": 218,
     "cache_lookups": 3170,
     "simulated_steps": 217,
