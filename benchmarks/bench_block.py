@@ -4,12 +4,13 @@ The bitset backend costs ``ceil(m / 8)`` Python-level loop iterations per
 simulation step; the numpy block backend costs a fixed handful of NumPy
 calls per step (scalar path) or per trie level (batched path) regardless
 of ``m``.  Somewhere between those regimes the curves cross.  This
-benchmark sweeps ``m`` over both paths, reports the measured crossover
-point of each, and checks that the ``auto`` selection threshold
-(:data:`repro.automata.engine.AUTO_BLOCK_THRESHOLD`) is consistent with
-the measurement: at every ``m`` above the threshold the batched numpy
-path — the one the counting layer actually drives since the AppUnion
-membership loop was batched — must not lose to bitset.
+benchmark sweeps ``m`` over both paths and reports the measured crossover
+point of each; the batched numpy path — the one the counting layer
+actually drives since the AppUnion membership loop was batched — must
+overtake bitset somewhere in the sweep.  The crossover is a
+microbenchmark of membership alone: end to end, ``bitset`` stays the
+default backend because the FPRAS spends its time in the sampler and
+AppUnion, not in engine steps.
 
 Like every benchmark in this tree, the assertions pin the *shape* of the
 claim (who wins where), not absolute timings.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from block_workloads import best_of, block_instance, block_words
 
-from repro.automata.engine import AUTO_BLOCK_THRESHOLD, create_engine, resolve_backend
+from repro.automata.engine import create_engine
 from repro.harness.reporting import format_table
 
 #: The m sweep bracketing the expected crossover region.
@@ -46,7 +47,6 @@ def _sweep(bench_rng):
 
         row = {
             "m": num_states,
-            "auto_resolves_to": resolve_backend(nfa, "auto"),
             "bitset_scalar_s": best_of(scalar_pass(bitset)),
             "numpy_scalar_s": best_of(scalar_pass(block)),
             "bitset_batch_s": best_of(lambda: bitset.accepts_batch(words)),
@@ -82,23 +82,11 @@ def test_block_backend_crossover(benchmark, report, bench_rng):
     batch_crossover = _crossover(rows, "batch_speedup")
     report(
         "Block crossover note: batched path overtakes bitset from "
-        f"m={batch_crossover}, scalar path from m={scalar_crossover}; "
-        f"auto threshold is m>{AUTO_BLOCK_THRESHOLD}"
+        f"m={batch_crossover}, scalar path from m={scalar_crossover}"
     )
     # The batched path (what the counting layer drives) must have crossed
-    # over by the sweep's end, and everywhere the auto selector would pick
-    # numpy it must not lose on that path.
+    # over by the sweep's end.
     assert batch_crossover is not None, (
         f"numpy batched path never overtook bitset: "
         f"{[(row['m'], round(row['batch_speedup'], 2)) for row in rows]}"
     )
-    assert batch_crossover <= max(CROSSOVER_STATE_COUNTS)
-    for row in rows:
-        if row["m"] > AUTO_BLOCK_THRESHOLD:
-            assert row["auto_resolves_to"] == "numpy"
-            assert row["batch_speedup"] >= 1.0, (
-                f"auto picks numpy at m={row['m']} but the batched path is "
-                f"{row['batch_speedup']:.2f}x"
-            )
-        else:
-            assert row["auto_resolves_to"] == "bitset"

@@ -10,7 +10,7 @@ The long-word half of the file probes the *memory* axis the streaming
 store added: the unary bounded-count workload
 (:mod:`repro.workloads.longwords`) with a tracemalloc peak-memory column
 per row.  The quick test keeps tier-of-seconds lengths; the full
-``n ∈ {1000, 5000, 20000}`` sweep — the one recorded in ``BENCH_10.json`` —
+``n ∈ {1000, 5000, 20000}`` sweep — the one ``tools/bench_report.py --scaling-n`` records —
 runs under ``REPRO_LONGWORD_FULL=1`` (tens of minutes under tracemalloc,
 since the probe traces every allocation of ~10^8 descent steps).
 """
@@ -88,7 +88,7 @@ def test_longword_windowed_store_bounds_memory(benchmark, report):
 @pytest.mark.skipif(
     not os.environ.get("REPRO_LONGWORD_FULL"),
     reason="full n<=20000 sweep takes tens of minutes under tracemalloc; "
-    "set REPRO_LONGWORD_FULL=1 to run (BENCH_10.json records its output)",
+    "set REPRO_LONGWORD_FULL=1 to run (tools/bench_report.py --scaling-n records it)",
 )
 def test_longword_full_sweep(benchmark, report):
     """The headline sweep: n ∈ {1000, 5000, 20000}, 10x memory bound."""

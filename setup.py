@@ -9,8 +9,7 @@ backend (``repro.automata.block``): the pinned range spans the releases
 whose ``packbits``/``unpackbits`` ``bitorder`` semantics and fancy-indexing
 behaviour the engine relies on, capped below the next major to guard
 against API breaks.  The library still imports without NumPy — the backend
-simply stays unregistered and ``auto`` falls back to ``bitset`` — so
-stripped-down environments keep working.
+simply stays unregistered — so stripped-down environments keep working.
 """
 
 from setuptools import setup

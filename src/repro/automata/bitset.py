@@ -28,7 +28,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 from repro.automata.engine import (
     DECODE_CACHE_LIMIT,
     Engine,
-    EngineCapabilities,
     decode_mask,
     register_engine,
 )
@@ -320,16 +319,4 @@ class BitsetEngine(Engine):
         return check
 
 
-# The bitset engine batches through the mask-resident trie walk but has no
-# whole-level tensor pass: a declared capability record (level_kernel=False)
-# is what routes the counting layer onto the bit-identical scalar path here.
-register_engine(
-    BitsetEngine.name,
-    BitsetEngine,
-    capabilities=EngineCapabilities(
-        backend=BitsetEngine.name,
-        level_kernel=False,
-        batch_simulate=True,
-        gpu_ready=False,
-    ),
-)
+register_engine(BitsetEngine.name, BitsetEngine)

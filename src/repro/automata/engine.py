@@ -54,7 +54,6 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -62,11 +61,9 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
 from repro.automata.nfa import NFA, State, Symbol, Word, as_word
@@ -74,17 +71,6 @@ from repro.errors import AutomatonError, ParameterError
 
 #: The backend used when callers do not ask for a specific one.
 DEFAULT_BACKEND = "bitset"
-
-#: Pseudo-backend resolved per automaton by :func:`resolve_backend`.
-AUTO_BACKEND = "auto"
-
-#: State count above which ``"auto"`` picks the vectorised ``"numpy"`` block
-#: backend over the integer-mask ``"bitset"`` backend.  Below it the bitset
-#: engine's byte-chunked lookup loop is cheaper than NumPy call overhead;
-#: above it the block representation wins (``benchmarks/bench_block.py``
-#: records the measured crossover on membership-dominated workloads, which
-#: sits between 256 and 512 states on current CPython/NumPy builds).
-AUTO_BLOCK_THRESHOLD = 256
 
 #: ``upto`` argument of :meth:`Engine.membership_batch`: one bound for every
 #: word, a per-word sequence of bounds, or ``None`` for "all states".
@@ -114,99 +100,6 @@ def decode_mask(states: Sequence[State], mask: int) -> FrozenSet[State]:
         members.append(states[low.bit_length() - 1])
         mask ^= low
     return frozenset(members)
-
-
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """Declared feature set of one simulation backend.
-
-    Capability negotiation replaces isinstance-style backend probing: a
-    caller that wants a vectorised whole-level pass asks
-    :meth:`Engine.capabilities` whether the backend declares
-    ``level_kernel`` and, if so, obtains the kernel through
-    :meth:`Engine.level_kernel` — otherwise it falls back bit-identically
-    to the scalar handle loop.  Records are frozen so a declared capability
-    set can never drift from what the registry promised at registration
-    time.
-
-    Attributes
-    ----------
-    backend:
-        Registry name the record describes (``"bitset"``, ``"numpy"``, …).
-    level_kernel:
-        The backend implements the :class:`LevelKernel` protocol — one
-        stacked tensor pass covers a whole unrolling level of handles.
-    batch_simulate:
-        The backend has a representation-specific ``simulate_batch`` /
-        ``_extend_batch`` fast path (all current backends do; the base
-        class provides a generic trie walk regardless).
-    gpu_ready:
-        The backend's level-kernel formulation is expressed as dense array
-        gathers/reductions that could run on an accelerator without
-        restructuring (a forward-looking flag — no GPU code ships here).
-
-    >>> EngineCapabilities(backend="reference").level_kernel
-    False
-    """
-
-    backend: str
-    level_kernel: bool = False
-    batch_simulate: bool = False
-    gpu_ready: bool = False
-
-
-@runtime_checkable
-class LevelKernel(Protocol):
-    """Whole-level tensor interface negotiated through declared capabilities.
-
-    A level kernel answers the three bulk questions the counting layer asks
-    once per unrolling level, each over *many* handles at once instead of
-    one handle at a time:
-
-    * :meth:`step_level` — forward images of a stack of handles under one
-      symbol (the reachability cache's batched prefix materialisation);
-    * :meth:`pre_level` — reverse images of a stack of handles under one
-      symbol, optionally intersected with a restriction handle (the
-      backward sampler's per-symbol predecessor fan);
-    * :meth:`materialise_batch` — per-word prefix-handle chains for a
-      multiset of words (standalone batched simulation keeping every
-      intermediate level).
-
-    Implementations must preserve the scalar path's observable contract
-    exactly: ``step_level(handles, b)[i] == engine.step(handles[i], b)``
-    (and likewise for ``pre``), with ``step_ops`` / ``pre_ops`` advancing
-    by ``len(handles)`` per call — one increment per handle, the same
-    accounting the scalar loop performs.  That is what lets kernel and
-    scalar executions share the locked work-counter parity suite.
-    """
-
-    def step_level(self, handles: Sequence[object], symbol: Symbol) -> List[object]:
-        """Forward images of every handle under ``symbol`` (one tensor pass)."""
-
-    def pre_level(
-        self,
-        handles: Sequence[object],
-        symbol: Symbol,
-        restrict: Optional[object] = None,
-    ) -> List[object]:
-        """Reverse images of every handle under ``symbol``.
-
-        ``restrict``, when given, is intersected into every result — the
-        counting layer passes the previous level's live-state handle, so a
-        whole level of ``predecessor_handle`` calls collapses into one
-        stacked gather plus one vectorised AND.
-        """
-
-    def materialise_batch(
-        self, words: Sequence[Word], upto: Optional[int] = None
-    ) -> List[List[object]]:
-        """Per-word prefix-handle chains (``chains[i][d]`` after ``d`` symbols).
-
-        ``upto`` bounds the chain length (``None`` simulates each word in
-        full).  Unlike :meth:`Engine.simulate_batch`, every intermediate
-        handle is returned, which is what a reachability cache needs to
-        populate its prefix table in one pass.
-        """
 
 
 class Engine(ABC):
@@ -471,28 +364,6 @@ class Engine(ABC):
         return [checker(handle, bound) for handle, bound in zip(handles, bounds)]
 
     # ------------------------------------------------------------------
-    # Capability negotiation
-    # ------------------------------------------------------------------
-    def capabilities(self) -> EngineCapabilities:
-        """The frozen capability record this backend declared at registration.
-
-        Backends registered without an explicit record get an all-default
-        (scalar-only) one, so negotiation never needs a ``getattr`` probe:
-        every engine answers, and absent capabilities read as ``False``.
-        """
-        return backend_capabilities(self.name)
-
-    def level_kernel(self) -> Optional[LevelKernel]:
-        """The backend's :class:`LevelKernel`, or ``None`` when undeclared.
-
-        The contract ties this to :meth:`capabilities`: a backend whose
-        record sets ``level_kernel`` must return a kernel here, and a
-        backend without the capability must return ``None`` — callers
-        negotiate through the record and then trust the kernel.
-        """
-        return None
-
-    # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, int]:
@@ -629,109 +500,36 @@ ENGINE_REGISTRY: Dict[str, EngineFactory] = {
     ReferenceEngine.name: ReferenceEngine,
 }
 
-#: Declared capability records per registered backend, filled by
-#: :func:`register_engine`.  The reference backend is the scalar baseline:
-#: no level kernel, generic trie-walk batching only.
-BACKEND_CAPABILITIES: Dict[str, EngineCapabilities] = {
-    ReferenceEngine.name: EngineCapabilities(backend=ReferenceEngine.name),
-}
 
-
-def register_engine(
-    name: str,
-    factory: EngineFactory,
-    capabilities: Optional[EngineCapabilities] = None,
-) -> None:
-    """Add a backend to the registry, with its declared capability record.
-
-    ``capabilities`` defaults to an all-scalar record for ``name``; a
-    record declared for a different backend name is rejected so the table
-    can never lie about which backend a record describes.
-    """
-    if capabilities is None:
-        capabilities = EngineCapabilities(backend=name)
-    elif capabilities.backend != name:
-        raise ParameterError(
-            f"capability record is declared for backend "
-            f"{capabilities.backend!r}, not {name!r}"
-        )
+def register_engine(name: str, factory: EngineFactory) -> None:
+    """Add a backend to the registry under ``name``."""
     ENGINE_REGISTRY[name] = factory
-    BACKEND_CAPABILITIES[name] = capabilities
 
 
-def backend_capabilities(name: str) -> EngineCapabilities:
-    """The declared :class:`EngineCapabilities` of one registered backend.
+def available_backends() -> Tuple[str, ...]:
+    """Sorted names of the selectable simulation backends.
 
-    >>> backend_capabilities("reference").level_kernel
-    False
-    >>> backend_capabilities("bitset").batch_simulate
-    True
+    >>> available_backends()[:1]
+    ('bitset',)
     """
-    record = BACKEND_CAPABILITIES.get(name)
-    if record is None:
-        raise ParameterError(
-            f"unknown simulation backend {name!r}; "
-            f"available: {list(available_backends())}"
-        )
-    return record
+    return tuple(sorted(ENGINE_REGISTRY))
 
 
-def available_backends(with_capabilities: bool = False):
-    """Selectable simulation backends, optionally with capability metadata.
+def resolve_backend(backend: Optional[str]) -> str:
+    """The registry name a backend request denotes (``None`` → default).
 
-    By default: the sorted tuple of backend names, including the
-    ``"auto"`` pseudo-backend, which :func:`resolve_backend` maps to a
-    concrete registered backend per automaton.  With
-    ``with_capabilities=True``: a name-keyed mapping of
-    :class:`EngineCapabilities` records for the concrete backends
-    (``"auto"`` has no record of its own — it resolves to one of these).
-
-    >>> "auto" in available_backends()
-    True
-    >>> available_backends(with_capabilities=True)["reference"].level_kernel
-    False
-    """
-    if with_capabilities:
-        return {name: BACKEND_CAPABILITIES[name] for name in sorted(ENGINE_REGISTRY)}
-    return tuple(sorted([*ENGINE_REGISTRY, AUTO_BACKEND]))
-
-
-def resolve_backend(nfa: NFA, backend: Optional[str]) -> str:
-    """The concrete registry name a backend request denotes for ``nfa``.
-
-    ``None`` selects :data:`DEFAULT_BACKEND`.  :data:`AUTO_BACKEND`
-    resolves through the declared capability table: above
-    :data:`AUTO_BLOCK_THRESHOLD` states it picks the first registered
-    backend (in sorted name order) whose :class:`EngineCapabilities`
-    declare ``level_kernel`` — currently the vectorised ``"numpy"`` block
-    engine — and falls back to :data:`DEFAULT_BACKEND` below the threshold
-    or when no kernel-capable backend is registered (e.g. NumPy
-    unavailable).  Resolution happens before registry keying, so
-    ``"auto"`` shares engine instances with the concrete backend it
-    resolves to.
-
-    >>> from repro.automata.nfa import NFA
-    >>> nfa = NFA.build([("a", "0", "a")], initial="a", accepting=["a"])
-    >>> resolve_backend(nfa, None)
+    >>> resolve_backend(None)
     'bitset'
-    >>> resolve_backend(nfa, "auto")
-    'bitset'
+    >>> resolve_backend("numpy")
+    'numpy'
     """
-    key = backend if backend is not None else DEFAULT_BACKEND
-    if key == AUTO_BACKEND:
-        if nfa.num_states > AUTO_BLOCK_THRESHOLD:
-            for name in sorted(ENGINE_REGISTRY):
-                if BACKEND_CAPABILITIES[name].level_kernel:
-                    return name
-        return DEFAULT_BACKEND
-    return key
+    return backend if backend is not None else DEFAULT_BACKEND
 
 
 def create_engine(nfa: NFA, backend: Optional[str] = None) -> Engine:
     """Instantiate a *fresh* simulation engine for ``nfa``.
 
-    ``backend`` is a registry name (or ``"auto"``, resolved per automaton by
-    :func:`resolve_backend`); ``None`` selects :data:`DEFAULT_BACKEND`.
+    ``backend`` is a registry name; ``None`` selects :data:`DEFAULT_BACKEND`.
     Construction builds the backend's lookup tables from scratch — callers
     on a hot path should prefer :func:`acquire_engine`, which memoises
     engines per ``(nfa, backend)`` in the shared :class:`EngineRegistry`.
@@ -742,10 +540,8 @@ def create_engine(nfa: NFA, backend: Optional[str] = None) -> Engine:
     'bitset'
     >>> create_engine(nfa, "reference").name
     'reference'
-    >>> create_engine(nfa, "auto").name  # 1 state: below the block threshold
-    'bitset'
     """
-    key = resolve_backend(nfa, backend)
+    key = resolve_backend(backend)
     try:
         factory = ENGINE_REGISTRY[key]
     except KeyError:
@@ -812,12 +608,10 @@ class EngineRegistry:
         """The shared engine for ``(nfa, backend)`` plus whether it was cached.
 
         The lookup, hit accounting and LRU maintenance happen atomically,
-        so the hit flag is reliable even with concurrent callers.  Backend
-        names are resolved first (``None`` → default, ``"auto"`` → concrete
-        backend for this automaton's size), so an ``"auto"`` acquisition
-        shares the slot of the backend it resolves to.
+        so the hit flag is reliable even with concurrent callers.  ``None``
+        resolves to the default backend first, so it shares that slot.
         """
-        key = (nfa, resolve_backend(nfa, backend))
+        key = (nfa, resolve_backend(backend))
         with self._lock:
             engine = self._entries.get(key)
             if engine is not None:

@@ -62,7 +62,6 @@ def _session_from_args(args: argparse.Namespace) -> CountingSession:
         backend=args.backend,
         use_engine_cache=not args.no_engine_cache,
         workers=args.workers,
-        kernel=getattr(args, "kernel", "auto"),
     )
     return CountingSession(
         epsilon=args.epsilon,
@@ -207,7 +206,6 @@ def _cmd_methods(_args: argparse.Namespace) -> int:
                 "workers": "yes" if capabilities.workers else "-",
                 "progress": "yes" if capabilities.progress else "-",
                 "stores": ", ".join(capabilities.stores),
-                "kernels": "yes" if capabilities.kernels else "-",
             }
         )
     print(format_table(rows, title="registered counting methods"))
@@ -388,9 +386,9 @@ def _estimator_options(default_epsilon: float) -> argparse.ArgumentParser:
         "--backend",
         choices=sorted(available_backends()),
         default=DEFAULT_BACKEND,
-        help="NFA simulation engine (bitset for up to a few hundred states, "
-        "numpy for larger automata, auto to pick by size; reference is the "
-        "frozenset baseline)",
+        help="NFA simulation engine (bitset integer masks by default, numpy "
+        "block vectors, or the reference frozenset baseline); estimates are "
+        "bit-identical on every backend",
     )
     shared.add_argument(
         "--no-engine-cache",
@@ -405,15 +403,6 @@ def _estimator_options(default_epsilon: float) -> argparse.ArgumentParser:
         help="processes for the sharded parallel executor (fpras/montecarlo): "
         "1 = serial (default), 0 = one per CPU; estimates are bit-identical "
         "for every worker count",
-    )
-    shared.add_argument(
-        "--kernel",
-        choices=["auto", "off"],
-        default="auto",
-        help="level-kernel policy: 'auto' negotiates whole-level tensor "
-        "passes on backends whose capabilities declare level_kernel "
-        "(numpy), 'off' forces the scalar per-handle path; estimates and "
-        "RNG streams are bit-identical either way",
     )
     shared.add_argument(
         "--family-arg", action="append", metavar="KEY=VALUE", help="family parameter"

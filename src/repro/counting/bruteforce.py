@@ -13,6 +13,7 @@ from typing import Optional
 
 from repro.automata.engine import Engine
 from repro.automata.nfa import NFA
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import ParameterError
 
 #: Refuse to enumerate more words than this by default (safety valve).
@@ -91,8 +92,7 @@ def count_bruteforce(
         nfa,
         length,
         method="bruteforce",
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         limit=limit,
     )
     return report.raw

@@ -139,9 +139,7 @@ class NFACounter:
     shared engine registry unless ``parameters.use_engine_cache`` is off;
     AppUnion membership questions are answered through the batched
     reachability API (see
-    :meth:`repro.automata.unroll.UnrolledAutomaton.first_containing_batch`),
-    which in turn rides the capability-negotiated level kernel
-    (``parameters.kernel``) on backends that declare one.
+    :meth:`repro.automata.unroll.UnrolledAutomaton.first_containing_batch`).
     """
 
     def __init__(
@@ -179,7 +177,6 @@ class NFACounter:
             cache_max_words=cache_max_words,
             cache_prefix_limit=cache_prefix_limit,
             cache_max_symbols=cache_max_symbols,
-            kernel=self.parameters.kernel,
         )
         # The state-table store decides where the N / S tables live (all
         # resident for "dict", sliding sample window for "windowed"); the

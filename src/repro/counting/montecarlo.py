@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 from repro.automata.engine import Engine
 from repro.automata.nfa import NFA
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import ParameterError
 
 
@@ -113,8 +114,7 @@ def count_montecarlo(
         length,
         method="montecarlo",
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
         num_samples=num_samples,
     )
     return report.raw

@@ -972,8 +972,8 @@ def run_montecarlo_sharded(
     counters: Dict[str, int] = {}
     hits = 0
     if pool_size > 1:
-        roundtripped, document = _roundtrip_nfa(nfa)
-        backend_name = resolve_backend(roundtripped, backend)
+        _, document = _roundtrip_nfa(nfa)
+        backend_name = resolve_backend(backend)
         pool, manager = _acquire_pool(
             pool_size, ("init-mc", document, backend, use_engine_cache), pool_manager
         )

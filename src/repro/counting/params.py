@@ -194,12 +194,11 @@ class FPRASParameters:
     ``backend`` selects the NFA simulation engine every hot loop runs on
     (see :mod:`repro.automata.engine`): ``"bitset"`` (the default) packs
     state sets into integer masks, ``"numpy"`` uses the vectorised block
-    representation built for automata with hundreds of states,
-    ``"reference"`` keeps the frozenset semantics, and ``"auto"`` picks
-    bitset vs numpy from the automaton size; ``None`` is normalised to the
-    default backend.  All backends are observationally identical under a
-    shared seed — the three-way parity suite enforces it — so the choice
-    only affects speed.
+    representation built for automata with hundreds of states, and
+    ``"reference"`` keeps the frozenset semantics; ``None`` is normalised
+    to the default backend.  All backends are observationally identical
+    under a shared seed — the three-way parity suite enforces it — so the
+    choice only affects speed.
 
     ``store`` selects the state-table layout the dynamic program fills
     (see :mod:`repro.counting.store`): ``"dict"`` (the default) keeps every
@@ -209,16 +208,6 @@ class FPRASParameters:
     temporary file and faulting them back on read.  Estimates, RNG streams
     and the algorithm-level work counters are bit-identical across stores;
     only memory (and wall time on deep cross-level reads) changes.
-
-    ``kernel`` sets the level-kernel policy (see
-    :class:`~repro.automata.engine.LevelKernel`): ``"auto"`` (the default)
-    negotiates whole-level tensor passes when the chosen backend's
-    :class:`~repro.automata.engine.EngineCapabilities` declare
-    ``level_kernel=True`` (currently the ``numpy`` backend); ``"off"``
-    forces the scalar per-handle path everywhere.  The policy is purely an
-    execution detail — estimates, RNG streams and the locked work counters
-    are bit-identical with the kernel on or off, which is why ``kernel`` is
-    result-neutral for the content-addressed cache.
 
     ``use_engine_cache`` controls whether the run acquires its engine from
     the shared :class:`~repro.automata.engine.EngineRegistry` (the default;
@@ -250,7 +239,6 @@ class FPRASParameters:
     store: str = "dict"
     window: int = 4
     details: str = "full"
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon:
@@ -274,10 +262,6 @@ class FPRASParameters:
         if self.details not in ("full", "summary"):
             raise ParameterError(
                 f"details must be 'full' or 'summary', got {self.details!r}"
-            )
-        if self.kernel not in ("auto", "off"):
-            raise ParameterError(
-                f"kernel must be 'auto' or 'off', got {self.kernel!r}"
             )
 
     # ------------------------------------------------------------------
@@ -385,7 +369,6 @@ class FPRASParameters:
             "engine_cache": self.use_engine_cache,
             "store": self.store,
             "window": self.window,
-            "kernel": self.kernel,
         }
 
 

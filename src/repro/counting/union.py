@@ -160,12 +160,6 @@ def approximate_union(
         membership questions in one batched pass — estimates, diagnostics
         and the RNG stream are bit-identical to the per-trial paths.
         Takes precedence over ``first_containing`` when both are given.
-        On engines whose declared capabilities carry a level kernel, the
-        batched pass resolves all fresh reachability handles with one
-        stacked tensor gather per ``(level, symbol)`` group (see
-        :meth:`repro.automata.unroll.ReachabilityCache
-        .reachable_handle_batch`); scalar backends walk the same trie one
-        step at a time, bit-identically.
 
     Returns
     -------

@@ -61,6 +61,16 @@ class WorkerCrashError(CountingMethodError):
     """
 
 
+class NumericRangeError(ReproError):
+    """Raised when a count exceeds the float range a report can carry.
+
+    :class:`~repro.counting.api.CountReport` stores its estimate as a
+    Python ``float``, which tops out near ``2^1024``; an exact count past
+    that cannot be reported without losing it, so it is refused with the
+    count's bit length instead of surfacing a bare ``OverflowError``.
+    """
+
+
 class SampleExhaustedError(ReproError):
     """Raised in strict mode when AppUnion consumes more samples than stored.
 

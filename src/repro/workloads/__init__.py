@@ -9,10 +9,6 @@ from repro.workloads.generator import (
     scaling_suite_length,
     scaling_suite_states,
 )
-from repro.workloads.levelkernel import (
-    level_kernel_sweep,
-    measure_level_kernel,
-)
 from repro.workloads.longwords import (
     measure_fpras_memory,
     unary_loop_nfa,
@@ -26,8 +22,6 @@ __all__ = [
     "scaling_suite_states",
     "scaling_suite_epsilon",
     "application_suite",
-    "level_kernel_sweep",
     "measure_fpras_memory",
-    "measure_level_kernel",
     "unary_loop_nfa",
 ]

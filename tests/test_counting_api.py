@@ -21,7 +21,7 @@ import pytest
 
 import repro
 from repro.automata.exact import count_exact
-from repro.automata.families import no_consecutive_ones_nfa, substring_nfa
+from repro.automata.families import all_words_nfa, no_consecutive_ones_nfa, substring_nfa
 from repro.cli import main
 from repro.counting.acjr import ACJRCounter, ACJRParameters, count_nfa_acjr
 from repro.counting.api import (
@@ -40,7 +40,7 @@ from repro.counting.fpras import FPRASParameters, NFACounter, count_nfa
 from repro.counting.montecarlo import count_montecarlo
 from repro.counting.params import ParameterScale
 from repro.counting.uniform import UniformWordSampler
-from repro.errors import CountingMethodError, ParameterError, ReproError
+from repro.errors import CountingMethodError, NumericRangeError, ParameterError, ReproError
 
 SEED = 7
 
@@ -192,6 +192,17 @@ class TestExactMethod:
         assert report.engine_counters == {}
         assert report.within_guarantee(report.raw) is True
         assert report.within_guarantee(report.raw + 1) is False
+
+    def test_count_beyond_float_range_raises_numeric_range_error(self):
+        # 2^1030 binary words: the exact DP succeeds, but the report's float
+        # estimate cannot hold the count, so it is refused with its size.
+        with pytest.raises(NumericRangeError, match="1031 bits"):
+            count(all_words_nfa("01"), 1030, method="exact")
+
+    def test_count_just_below_float_range_still_reported(self):
+        report = count(all_words_nfa("01"), 1023, method="exact")
+        assert report.raw == 2**1023
+        assert report.estimate == float(2**1023)
 
 
 # ----------------------------------------------------------------------

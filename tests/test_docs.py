@@ -90,7 +90,6 @@ def test_docs_subsystem_exists_and_is_linked():
         "--no-engine-cache",
         "engine_counters",
         "BlockEngine",
-        "AUTO_BLOCK_THRESHOLD",
         "nfa_to_text",
     ):
         assert symbol in api_text, f"docs/api.md must document {symbol}"

@@ -12,9 +12,7 @@ that down at every layer as a three-way differential matrix
 * algorithm level — a full FPRAS run with a shared seeded
   ``random.Random`` produces bit-identical estimates, per-state tables,
   sample multisets, work counters and uniform-sampler draws on every
-  backend;
-* backend selection — the ``auto`` pseudo-backend resolves to a concrete
-  backend by automaton size and shares registry slots with it.
+  backend.
 
 Any divergence found here is a bug in one of the backends, not a tolerance
 issue: every assertion is exact.
@@ -29,11 +27,9 @@ import pytest
 
 from repro.automata import families
 from repro.automata.engine import (
-    AUTO_BLOCK_THRESHOLD,
     EngineRegistry,
     available_backends,
     create_engine,
-    resolve_backend,
 )
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nfa, random_nonempty_nfa
@@ -102,7 +98,7 @@ class TestEngineRegistry:
         assert "reference" in available_backends()
         assert "bitset" in available_backends()
         assert "numpy" in available_backends()
-        assert "auto" in available_backends()
+        assert "auto" not in available_backends()
 
     def test_unknown_backend_rejected(self, substring_101_nfa):
         from repro.errors import ParameterError
@@ -395,161 +391,3 @@ class TestDegenerateAutomataParity:
                 results[backend].membership_calls
                 == results["reference"].membership_calls
             )
-
-
-class TestLevelKernelParity:
-    """Kernel-vs-scalar differential axis: the negotiated level kernel is
-    only admissible under the same observational-identity contract as the
-    backends themselves, so every assertion here is exact."""
-
-    def test_capability_negotiation_per_backend(self):
-        from repro.automata.engine import LevelKernel
-
-        for backend in ("reference", "bitset", "numpy"):
-            engine = create_engine(families.parity_nfa(3), backend)
-            declares = engine.capabilities().level_kernel
-            kernel = engine.level_kernel()
-            # A backend's declared capability and its kernel factory agree.
-            assert (kernel is not None) == declares, backend
-            if kernel is not None:
-                assert isinstance(kernel, LevelKernel)
-        assert create_engine(families.parity_nfa(3), "numpy").capabilities().level_kernel
-
-    def test_cache_negotiates_kernel_only_when_unbounded(self, suffix_nfa_0110):
-        unbounded = ReachabilityCache(
-            suffix_nfa_0110, backend="numpy", use_engine_cache=False
-        )
-        assert unbounded.kernel_active
-        forced_off = ReachabilityCache(
-            suffix_nfa_0110, backend="numpy", use_engine_cache=False, kernel="off"
-        )
-        assert not forced_off.kernel_active
-        scalar_backend = ReachabilityCache(
-            suffix_nfa_0110, backend="bitset", use_engine_cache=False
-        )
-        assert not scalar_backend.kernel_active
-        # Any eviction bound voids the prefix-closure the batch walk relies
-        # on, so a bounded cache always falls back to the scalar path.
-        for bound in (
-            {"max_words": 8},
-            {"prefix_limit": 64},
-            {"max_symbols": 128},
-        ):
-            bounded = ReachabilityCache(
-                suffix_nfa_0110, backend="numpy", use_engine_cache=False, **bound
-            )
-            assert not bounded.kernel_active, bound
-
-    def test_invalid_kernel_value_rejected(self, suffix_nfa_0110):
-        from repro.errors import AutomatonError
-
-        with pytest.raises(AutomatonError):
-            ReachabilityCache(suffix_nfa_0110, kernel="sometimes")
-
-    @pytest.mark.parametrize("seed", range(0, 20))
-    def test_step_and_pre_level_match_scalar_loop(self, seed):
-        nfa = _random_instance(seed)
-        engine = create_engine(nfa, "numpy")
-        kernel = engine.level_kernel()
-        rng = random.Random(seed + 40_000)
-        states = sorted(nfa.states, key=repr)
-        handles = [
-            engine.encode([state for state in states if rng.random() < 0.4])
-            for _ in range(9)
-        ]
-        live = engine.encode([state for state in states if rng.random() < 0.7])
-        for symbol in sorted(nfa.alphabet, key=repr):
-            before = engine.step_ops
-            stepped = kernel.step_level(handles, symbol)
-            assert engine.step_ops == before + len(handles)
-            scalar = create_engine(nfa, "numpy")
-            for handle, image in zip(handles, stepped):
-                assert image == scalar.step(handle, symbol), symbol
-            before = engine.pre_ops
-            pres = kernel.pre_level(handles, symbol, restrict=live)
-            assert engine.pre_ops == before + len(handles)
-            for handle, image in zip(handles, pres):
-                expected = scalar.intersect(scalar.pre(handle, symbol), live)
-                assert image == expected, symbol
-
-    @pytest.mark.parametrize("seed", range(100, 112))
-    def test_fpras_kernel_on_off_bit_identical(self, seed):
-        nfa = random_nonempty_nfa(7, 6, density=0.35, seed=seed)
-        results = {}
-        for kernel in ("auto", "off"):
-            parameters = FPRASParameters(
-                epsilon=0.4,
-                delta=0.2,
-                scale=ParameterScale.practical(sample_cap=8, union_trial_cap=12),
-                seed=seed,
-                backend="numpy",
-                use_engine_cache=False,
-                kernel=kernel,
-            )
-            counter = NFACounter(nfa, 6, parameters)
-            results[kernel] = (counter, counter.run())
-        counter_on, result_on = results["auto"]
-        counter_off, result_off = results["off"]
-        assert counter_on.unroll.kernel_active
-        assert not counter_off.unroll.kernel_active
-        assert result_on.estimate == result_off.estimate
-        assert result_on.state_estimates == result_off.state_estimates
-        assert result_on.sample_counts == result_off.sample_counts
-        assert result_on.membership_calls == result_off.membership_calls
-        assert result_on.sample_draws == result_off.sample_draws
-        assert counter_on.samples == counter_off.samples
-        # The full representation-independent counter dictionaries agree —
-        # the kernel reorganises the work, it never changes its amount.
-        assert result_on.engine_counters == result_off.engine_counters
-
-    def test_uniform_sampler_kernel_axis_identical(self, fibonacci_nfa):
-        draws = {}
-        for kernel in ("auto", "off"):
-            parameters = FPRASParameters(
-                epsilon=0.4, delta=0.2, seed=31, backend="numpy", kernel=kernel,
-                use_engine_cache=False,
-            )
-            counter = NFACounter(fibonacci_nfa, 7, parameters)
-            sampler = UniformWordSampler(counter, rng=random.Random(99))
-            draws[kernel] = sampler.sample_many(25)
-        assert draws["auto"] == draws["off"]
-
-
-class TestAutoBackend:
-    def test_resolution_by_size(self):
-        small = families.substring_nfa("101")
-        assert resolve_backend(small, "auto") == "bitset"
-        assert resolve_backend(small, None) == "bitset"
-        assert resolve_backend(small, "numpy") == "numpy"
-        big = random_nfa(AUTO_BLOCK_THRESHOLD + 1, density=0.02, seed=1)
-        assert resolve_backend(big, "auto") == "numpy"
-
-    def test_auto_engine_name_is_concrete(self):
-        small = families.substring_nfa("101")
-        assert create_engine(small, "auto").name == "bitset"
-        big = random_nfa(AUTO_BLOCK_THRESHOLD + 1, density=0.02, seed=2)
-        assert create_engine(big, "auto").name == "numpy"
-
-    def test_auto_shares_registry_slot_with_concrete_backend(self):
-        registry = EngineRegistry(max_entries=8)
-        small = families.substring_nfa("101")
-        assert registry.get(small, "auto") is registry.get(small, "bitset")
-        big = random_nfa(AUTO_BLOCK_THRESHOLD + 1, density=0.02, seed=3)
-        assert registry.get(big, "auto") is registry.get(big, "numpy")
-
-    def test_auto_fpras_matches_concrete_backend(self):
-        nfa = random_nonempty_nfa(7, 6, density=0.35, seed=5)
-        results = {}
-        for backend in ("auto", "bitset"):
-            parameters = FPRASParameters(
-                epsilon=0.4,
-                delta=0.2,
-                scale=ParameterScale.practical(sample_cap=6, union_trial_cap=8),
-                seed=11,
-                backend=backend,
-                use_engine_cache=False,
-            )
-            results[backend] = NFACounter(nfa, 6, parameters).run()
-        assert results["auto"].estimate == results["bitset"].estimate
-        # The report names the concrete backend the run actually used.
-        assert results["auto"].backend == "bitset"

@@ -10,8 +10,9 @@ Pins the contracts behind the capability-negotiated API redesign:
   and the legacy ``supports_workers=`` registration flag maps onto
   :class:`~repro.counting.policy.MethodCapabilities`;
 * the method registry's declared capabilities (which dispatch reads
-  instead of ``getattr`` probes) and the engine-level capability records
-  they mirror.
+  instead of ``getattr`` probes);
+* the removed ``kernel`` knob and ``"auto"`` backend, which must fail
+  inside the ``ReproError`` hierarchy before any counting work starts.
 """
 
 from __future__ import annotations
@@ -20,13 +21,8 @@ import warnings
 
 import pytest
 
+import repro.counting.api as api_module
 from repro.automata import families
-from repro.automata.engine import (
-    EngineCapabilities,
-    available_backends,
-    backend_capabilities,
-    create_engine,
-)
 from repro.counting.api import (
     METHOD_REGISTRY,
     RESULT_NEUTRAL_OPTIONS,
@@ -42,7 +38,7 @@ from repro.counting.policy import (
     ExecutionPolicy,
     MethodCapabilities,
 )
-from repro.errors import ParameterError
+from repro.errors import CountingMethodError, ParameterError
 
 
 class TestExecutionPolicyValidation:
@@ -57,8 +53,9 @@ class TestExecutionPolicyValidation:
         with pytest.raises(ParameterError):
             ExecutionPolicy(backend="no-such-backend")
 
-    def test_auto_backend_accepted(self):
-        assert ExecutionPolicy(backend="auto").backend == "auto"
+    def test_auto_backend_rejected(self):
+        with pytest.raises(ParameterError, match="'auto'"):
+            ExecutionPolicy(backend="auto")
 
     @pytest.mark.parametrize(
         "knobs",
@@ -68,7 +65,7 @@ class TestExecutionPolicyValidation:
             {"shards": 0},
             {"store": "csv"},
             {"window": 0},
-            {"kernel": "sometimes"},
+            {"window": "4"},
         ],
     )
     def test_invalid_knobs_rejected(self, knobs):
@@ -80,19 +77,18 @@ class TestExecutionPolicyValidation:
         # non-default — the fingerprint-neutrality mechanism.
         assert ExecutionPolicy(backend="numpy", workers=4).method_options() == {}
         assert ExecutionPolicy(
-            shards=3, store="windowed", window=2, kernel="off"
+            shards=3, store="windowed", window=2
         ).method_options() == {
             "shards": 3,
             "store": "windowed",
             "window": 2,
-            "kernel": "off",
         }
 
     def test_with_overrides(self):
         policy = ExecutionPolicy(backend="bitset")
-        tweaked = policy.with_overrides(workers=2, kernel="off")
+        tweaked = policy.with_overrides(workers=2, window=8)
         assert tweaked.backend == "bitset"
-        assert tweaked.workers == 2 and tweaked.kernel == "off"
+        assert tweaked.workers == 2 and tweaked.window == 8
         assert policy.workers == 1  # frozen original untouched
 
     def test_describe_lists_every_knob(self):
@@ -133,21 +129,21 @@ class TestPolicyRequestRoundTrip:
         styled = CountRequest(
             method="fpras", seed=3, policy=ExecutionPolicy(backend="bitset")
         )
-        kernel_off = CountRequest(
+        windowed = CountRequest(
             method="fpras",
             seed=3,
-            policy=ExecutionPolicy(backend="bitset", kernel="off"),
+            policy=ExecutionPolicy(backend="bitset", store="windowed"),
         )
         assert canonical_request_knobs(styled, 6) == canonical_request_knobs(flat, 6)
         fingerprints = {
             request_fingerprint(nfa_doc, 6, request)
-            for request in (flat, styled, kernel_off)
+            for request in (flat, styled, windowed)
         }
-        assert len(fingerprints) == 1  # kernel is result-neutral by contract
+        assert len(fingerprints) == 1  # the store is result-neutral by contract
 
     def test_round_trip_from_request(self):
         policy = ExecutionPolicy(
-            backend="numpy", workers=3, shards=2, store="windowed", kernel="off"
+            backend="numpy", workers=3, shards=2, store="windowed", window=2
         )
         request = CountRequest(method="fpras", policy=policy)
         assert ExecutionPolicy.from_request(request) == policy
@@ -163,7 +159,7 @@ class TestPolicyRequestRoundTrip:
         with pytest.raises(ParameterError):
             CountRequest(
                 method="fpras",
-                options={"kernel": "off"},
+                options={"store": "windowed"},
                 policy=ExecutionPolicy(),
             )
 
@@ -206,13 +202,13 @@ class TestDeprecationShims:
         session = CountingSession(
             epsilon=0.5,
             seed=5,
-            policy=ExecutionPolicy(backend="bitset", kernel="off"),
+            policy=ExecutionPolicy(backend="bitset", store="windowed"),
         )
         pinned = session.request()
         assert pinned.backend == "bitset"
-        assert pinned.option("kernel") == "off"
-        # A method that does not accept the kernel option drops it.
-        assert "kernel" not in session.request(method="exact").options
+        assert pinned.option("store") == "windowed"
+        # A method that does not accept the store option drops it.
+        assert "store" not in session.request(method="exact").options
         assert session.count(parity_nfa_2, 4, method="exact").raw > 0
 
 
@@ -222,14 +218,13 @@ class TestMethodCapabilities:
         assert capabilities.workers is False
         assert capabilities.progress is False
         assert capabilities.stores == ("dict",)
-        assert capabilities.kernels is False
 
     @pytest.mark.parametrize(
         "knobs",
         [
             {"workers": 1},
             {"progress": "yes"},
-            {"kernels": None},
+            {"stores": ("dict", "paper")},
             {"stores": ()},
             {"stores": ["dict"]},
             {"stores": ("paper",)},
@@ -241,12 +236,12 @@ class TestMethodCapabilities:
 
     def test_registry_declares_capabilities(self):
         fpras = METHOD_REGISTRY["fpras"].capabilities
-        assert fpras.workers and fpras.progress and fpras.kernels
+        assert fpras.workers and fpras.progress
         assert fpras.stores == ("dict", "windowed")
         exact = METHOD_REGISTRY["exact"].capabilities
-        assert not exact.workers and not exact.kernels
+        assert not exact.workers and not exact.progress
         montecarlo = METHOD_REGISTRY["montecarlo"].capabilities
-        assert montecarlo.workers and montecarlo.progress and not montecarlo.kernels
+        assert montecarlo.workers and montecarlo.progress
 
     def test_supports_workers_compat_property(self):
         assert METHOD_REGISTRY["fpras"].supports_workers is True
@@ -284,25 +279,22 @@ class TestMethodCapabilities:
             METHOD_REGISTRY.pop(name, None)
 
 
-class TestEngineCapabilityRecords:
-    def test_every_backend_declares_capabilities(self):
-        records = available_backends(with_capabilities=True)
-        assert set(records) == set(available_backends()) - {"auto"}
-        for name, record in records.items():
-            assert isinstance(record, EngineCapabilities)
-            assert record.backend == name
-            assert backend_capabilities(name) == record
+class TestRemovedSpellings:
+    """The ``kernel`` knob and the ``"auto"`` backend are gone: every old
+    spelling fails inside the ``ReproError`` hierarchy before a run starts."""
 
-    def test_declared_capabilities_match_engine_behaviour(self):
-        nfa = families.parity_nfa(3)
-        for name in ("reference", "bitset", "numpy"):
-            engine = create_engine(nfa, name)
-            record = engine.capabilities()
-            assert record == backend_capabilities(name)
-            assert (engine.level_kernel() is not None) == record.level_kernel
+    @pytest.fixture()
+    def no_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counting work started")
 
-    def test_numpy_is_the_level_kernel_backend(self):
-        assert backend_capabilities("numpy").level_kernel is True
-        assert backend_capabilities("numpy").gpu_ready is True
-        assert backend_capabilities("bitset").level_kernel is False
-        assert backend_capabilities("reference").level_kernel is False
+        monkeypatch.setattr(api_module, "fpras_counter", refuse)
+
+    def test_count_with_auto_backend_fails_early(self, no_counting):
+        with pytest.raises(ParameterError, match="'auto'"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            count(families.parity_nfa(2), 4, backend="auto", seed=1)
+
+    def test_count_with_kernel_option_fails_early(self, no_counting):
+        with pytest.raises(CountingMethodError, match="kernel"):
+            count(families.parity_nfa(2), 4, seed=1, kernel="off")

@@ -418,6 +418,21 @@ class TestRequestValidation:
         assert status == 400
         assert "num_samples" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "knobs, fragment",
+        [
+            ({"backend": "auto"}, "auto"),
+            ({"options": {"kernel": "off"}}, "kernel"),
+        ],
+    )
+    def test_removed_backend_and_kernel_spellings_are_400(self, server, knobs, fragment):
+        status, payload = _post(
+            server, _body(no_consecutive_ones_nfa(), 5, seed=1, **knobs)
+        )
+        assert status == 400
+        assert fragment in payload["error"]
+        assert server.stats()["counters"]["counting_runs"] == 0
+
 
 # ----------------------------------------------------------------------
 # /stats and /methods

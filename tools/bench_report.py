@@ -1,4 +1,4 @@
-"""Emit a machine-readable performance snapshot (``BENCH_10.json``).
+"""Emit a machine-readable performance snapshot (``bench-report.json``).
 
 Since PR 7 the bench report *is* an audit manifest: the counting workloads
 are declared as scenario-matrix specs (:mod:`repro.audit.scenarios`) and
@@ -6,16 +6,16 @@ executed through the manifest pipeline (:mod:`repro.audit.manifest`), so
 the emitted document carries the full audit trail — git revision,
 python/numpy versions, per-scenario workload fingerprints, estimates vs.
 exact ground truth, observed relative error, median wall times and
-engine-counter deltas — and two consecutive ``BENCH_10.json`` artifacts can
+engine-counter deltas — and two consecutive ``bench-report.json`` artifacts can
 be gated with ``repro audit-diff`` exactly like the CI audit manifests.
 Alongside the synthetic hot-path workloads the report times real-workload
 corpus fixtures (:mod:`repro.corpus` — log/lint/validation regexes and RPQ
 query classes) via :data:`CORPUS_SPEC`.  The serving-layer benchmarks
 (cold vs. cached ``POST /count`` against a real
-:class:`~repro.serve.server.CountingServer`), the level-kernel sweep
-(:func:`repro.workloads.levelkernel.level_kernel_sweep` — kernel vs scalar
-numpy on batched reachability materialisation, numpy permitting) and the
-headline speedup ratios ride along in a ``bench`` extras section.
+:class:`~repro.serve.server.CountingServer`) and the headline speedup
+ratios ride along in a ``bench`` extras section.  A ratio the host cannot
+measure meaningfully (a 4-worker speedup on fewer than 4 CPUs) is recorded
+under ``bench.skipped`` with the reason instead of as a number.
 
 With ``--scaling-n`` the report additionally runs the long-word streaming
 sweep (:func:`repro.workloads.longwords.long_word_sweep`): the unary
@@ -32,13 +32,14 @@ medians over ``--repeats`` runs on a warm engine registry.
 
 Usage::
 
-    PYTHONPATH=src python tools/bench_report.py --output BENCH_10.json
+    PYTHONPATH=src python tools/bench_report.py --output bench-report.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from statistics import median
@@ -230,8 +231,12 @@ def _find_seconds(
 def _ratios(
     records: List[Mapping[str, object]],
     serve_medians: Mapping[str, float],
-) -> Dict[str, float]:
-    """The headline speedup ratios derived from the manifest records."""
+) -> Tuple[Dict[str, float], Dict[str, str]]:
+    """The headline speedup ratios derived from the manifest records.
+
+    Returns ``(ratios, skipped)``: ``skipped`` maps a ratio this host cannot
+    measure meaningfully to the reason it was left out.
+    """
     fpras_serial = _find_seconds(records, method="fpras", family="substring")
     sharded_serial = _find_seconds(
         records, method="fpras", family="divisibility", workers=1
@@ -244,17 +249,23 @@ def _ratios(
         records, method="fpras", family="divisibility", backend="numpy"
     )
     ratios: Dict[str, float] = {}
+    skipped: Dict[str, str] = {}
     if serve_medians.get("serve_count_cached"):
         ratios["serve_cache_speedup"] = (
             serve_medians["serve_count_cold"] / serve_medians["serve_count_cached"]
         )
-    if sharded_serial and sharded_pool:
+    cpus = os.cpu_count() or 1
+    if cpus < 4:
+        skipped["fpras_parallel_speedup_4_workers"] = (
+            f"host has {cpus} CPU(s); a 4-worker speedup needs at least 4"
+        )
+    elif sharded_serial and sharded_pool:
         ratios["fpras_parallel_speedup_4_workers"] = sharded_serial / sharded_pool
     if fpras_serial and montecarlo:
         ratios["montecarlo_vs_fpras_wall"] = montecarlo / fpras_serial
     if fpras_serial and numpy_block:
         ratios["numpy_block_vs_serial_bitset_wall"] = numpy_block / fpras_serial
-    return ratios
+    return ratios, skipped
 
 
 def build_report(repeats: int, scaling_n: bool = False) -> Dict[str, object]:
@@ -263,20 +274,14 @@ def build_report(repeats: int, scaling_n: bool = False) -> Dict[str, object]:
     serve_entries, serve_counters = _serve_benchmarks(repeats)
     serve_medians = {entry["name"]: entry["median_seconds"] for entry in serve_entries}
     manifest = run_scenarios(scenarios, repeats=repeats)
+    ratios, skipped = _ratios(manifest["scenarios"], serve_medians)
     manifest["bench"] = {
         "seed": SEED,
-        "ratios": _ratios(manifest["scenarios"], serve_medians),
+        "ratios": ratios,
+        "skipped": skipped,
         "serve_benchmarks": serve_entries,
         "serve_counters": serve_counters,
     }
-    if _numpy_version() is not None:
-        from repro.workloads.levelkernel import level_kernel_sweep
-
-        level_kernel = level_kernel_sweep(repeats=repeats)
-        manifest["bench"]["level_kernel"] = level_kernel
-        manifest["bench"]["ratios"]["level_kernel_speedup_m512"] = (
-            level_kernel["summary"]["gate_speedup"]
-        )
     if scaling_n:
         from repro.workloads.longwords import long_word_sweep
 
@@ -286,10 +291,10 @@ def build_report(repeats: int, scaling_n: bool = False) -> Dict[str, object]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Run the smoke-scale bench matrix and write BENCH_10.json"
+        description="Run the smoke-scale bench matrix and write a bench report"
     )
     parser.add_argument(
-        "--output", default="BENCH_10.json", help="output path (default: %(default)s)"
+        "--output", default="bench-report.json", help="output path (default: %(default)s)"
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
@@ -315,6 +320,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     for key, value in sorted(document["bench"]["ratios"].items()):
         print(f"  {key}: {value:.3f}")
+    for key, reason in sorted(document["bench"]["skipped"].items()):
+        print(f"  {key}: skipped ({reason})")
     scaling = document["bench"].get("scaling_n")
     if scaling:
         summary = scaling["summary"]
