@@ -14,8 +14,8 @@ from repro.automata.dfa import determinize
 from repro.automata.engine import create_engine
 from repro.automata.exact import count_exact
 from repro.automata.families import substring_nfa, suffix_nfa, union_of_patterns_nfa
-from repro.counting.acjr import count_nfa_acjr
-from repro.counting.fpras import count_nfa
+from repro.counting.acjr import ACJRCounter, ACJRParameters
+from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.union import SetAccess, approximate_union
 
@@ -67,7 +67,7 @@ def test_bench_fpras_full_run(benchmark, bench_rng):
     seed = bench_rng.randrange(2**31)
 
     def run():
-        return count_nfa(nfa, LENGTH, epsilon=0.3, seed=seed)
+        return NFACounter(nfa, LENGTH, FPRASParameters(epsilon=0.3, seed=seed)).run()
 
     result = benchmark(run)
     assert result.relative_error(exact) < 0.5
@@ -79,7 +79,8 @@ def test_bench_acjr_full_run(benchmark, bench_rng):
     seed = bench_rng.randrange(2**31)
 
     def run():
-        return count_nfa_acjr(nfa, LENGTH, epsilon=0.3, sample_cap=48, seed=seed)
+        parameters = ACJRParameters(epsilon=0.3, sample_cap=48, seed=seed)
+        return ACJRCounter(nfa, LENGTH, parameters).run()
 
     result = benchmark(run)
     assert result.relative_error(exact) < 0.5

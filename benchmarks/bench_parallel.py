@@ -28,6 +28,7 @@ import time
 from repro.automata.families import divisibility_nfa
 from repro.counting.api import count
 from repro.counting.params import ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.harness.reporting import format_table
 
 #: Pool size exercised by the benchmark (the acceptance configuration).
@@ -65,8 +66,7 @@ def _fpras_run(workers: int):
         epsilon=EPSILON,
         seed=SEED,
         scale=SCALE,
-        workers=workers,
-        shards=SHARDS,
+        policy=ExecutionPolicy(workers=workers, shards=SHARDS),
     )
     return time.perf_counter() - started, report
 
@@ -80,7 +80,7 @@ def _montecarlo_run(workers: int):
         method="montecarlo",
         seed=SEED,
         num_samples=MC_SAMPLES,
-        workers=workers,
+        policy=ExecutionPolicy(workers=workers),
     )
     return time.perf_counter() - started, report
 

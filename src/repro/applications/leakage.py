@@ -18,6 +18,7 @@ from typing import Optional
 from repro.automata.nfa import NFA
 from repro.counting.api import count as unified_count
 from repro.counting.params import ParameterScale
+from repro.counting.policy import ExecutionPolicy
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,7 @@ def estimate_leakage_bits(
     delta: float = 0.1,
     seed: Optional[int] = None,
     scale: Optional[ParameterScale] = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> LeakageEstimate:
     """Estimate the channel-capacity leakage bound ``log2 |L(A_length)|``.
 
@@ -55,7 +55,8 @@ def estimate_leakage_bits(
     or ``"exact"``.  A multiplicative ``(1 + eps)`` guarantee on the count
     translates into an *additive* ``log2(1 + eps)`` guarantee on the
     leakage bound, which is why an FPRAS is exactly the right tool for this
-    application.  Unknown methods raise
+    application.  ``policy`` is the run's
+    :class:`~repro.counting.policy.ExecutionPolicy`.  Unknown methods raise
     :class:`~repro.errors.CountingMethodError` (a ``ValueError``).
     """
     # Pass an explicit scale through to the registry for any method: methods
@@ -68,8 +69,7 @@ def estimate_leakage_bits(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=policy,
         **options,
     )
     count = float(report.estimate)

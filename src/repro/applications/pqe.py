@@ -40,6 +40,7 @@ from repro.automata.exact import count_exact
 from repro.counting.api import count as unified_count
 from repro.counting.fpras import CountResult
 from repro.counting.params import ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import ReductionError
 
 Fact = Tuple[str, str, float]
@@ -379,8 +380,7 @@ def evaluate_path_query(
     seed: Optional[int] = None,
     num_samples: int = 10_000,
     scale: Optional[ParameterScale] = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> PQEResult:
     """Evaluate a path query with the chosen method.
 
@@ -388,9 +388,8 @@ def evaluate_path_query(
     algorithm through the unified counting façade), ``"exact"`` (enumerate
     sub-databases), ``"exact-nfa"`` (exact #NFA count of the coin-word
     automaton, i.e. exact under dyadic rounding) or ``"montecarlo"``.
-    ``backend`` and ``use_engine_cache`` are the shared engine knobs of
-    :class:`repro.counting.api.CountRequest`, threaded through to the
-    counting run.
+    ``policy`` is the :class:`~repro.counting.policy.ExecutionPolicy` of
+    the counting run.
     """
     if method == "exact":
         return PQEResult(probability=exact_probability(database, query), method=method)
@@ -417,8 +416,7 @@ def evaluate_path_query(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=policy,
         scale=scale,
     ).raw
     probability = result.estimate / float(1 << reduction.word_length)

@@ -31,6 +31,7 @@ from repro.applications.pqe import (
     ProbabilisticDatabase,
     evaluate_path_query,
 )
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import ReductionError
 
 ProbEdge = Tuple[str, str, float]
@@ -144,18 +145,16 @@ def homomorphism_probability(
     bits: int = 2,
     seed: Optional[int] = None,
     num_samples: int = 10_000,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> PQEResult:
     """Probability that a sampled subgraph contains a full source-to-sink path.
 
     ``method`` accepts the same values as
     :func:`repro.applications.pqe.evaluate_path_query`, plus ``"exact-graph"``
     and ``"montecarlo-graph"`` which evaluate directly on the graph without
-    the PQE reduction (useful as independent cross-checks).  ``backend`` and
-    ``use_engine_cache`` are the shared engine knobs of the unified counting
-    façade (:class:`repro.counting.api.CountRequest`), threaded through the
-    PQE reduction to the #NFA run.
+    the PQE reduction (useful as independent cross-checks).  ``policy`` is
+    the :class:`~repro.counting.policy.ExecutionPolicy` of the #NFA run
+    behind the PQE reduction.
     """
     if method == "exact-graph":
         return PQEResult(probability=graph.exact_probability(), method=method)
@@ -172,6 +171,5 @@ def homomorphism_probability(
         bits=bits,
         seed=seed,
         num_samples=num_samples,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
+        policy=policy,
     )

@@ -45,6 +45,7 @@ from repro.automata.families import FAMILY_REGISTRY, build_family
 from repro.automata.nfa import NFA
 from repro.counting.api import CountRequest, available_methods
 from repro.counting.params import ParameterScale
+from repro.counting.policy import POLICY_OPTION_NAMES, ExecutionPolicy
 from repro.errors import AuditError
 
 #: Spec keys :func:`expand_matrix` understands; anything else is an error.
@@ -161,18 +162,10 @@ class Scenario:
         :class:`~repro.counting.params.ParameterScale` here, at the last
         moment, so everything stored on the scenario itself stays JSON.
         """
-        options = dict(self.options)
+        scale = None
         if self.scale is not None and self.method == "fpras":
-            options["scale"] = ParameterScale.practical(**dict(self.scale))
-        return CountRequest(
-            method=self.method,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            seed=self.seed,
-            backend=self.backend,
-            workers=self.workers,
-            options=options,
-        )
+            scale = ParameterScale.practical(**dict(self.scale))
+        return self._count_request(scale)
 
     def fingerprint_request(self) -> CountRequest:
         """A JSON-canonicalisable twin of :meth:`request` for fingerprinting.
@@ -182,17 +175,31 @@ class Scenario:
         executing request and the fingerprinted request denote the same
         computation.
         """
-        options = dict(self.options)
+        scale = None
         if self.scale is not None and self.method == "fpras":
-            options["scale"] = {key: self.scale[key] for key in sorted(self.scale)}
+            scale = {key: self.scale[key] for key in sorted(self.scale)}
+        return self._count_request(scale)
+
+    def _count_request(self, scale: object) -> CountRequest:
+        """The request for this scenario with ``scale`` as its fpras scale.
+
+        Scenario options may name the policy knobs ``shards`` / ``store``
+        / ``window``; they move onto the request's execution policy.
+        """
+        options = dict(self.options)
+        if scale is not None:
+            options["scale"] = scale
+        policy = ExecutionPolicy(backend=self.backend, workers=self.workers)
+        policy = policy.with_overrides(
+            **{name: options.pop(name) for name in POLICY_OPTION_NAMES if name in options}
+        )
         return CountRequest(
             method=self.method,
             epsilon=self.epsilon,
             delta=self.delta,
             seed=self.seed,
-            backend=self.backend,
-            workers=self.workers,
             options=options,
+            policy=policy,
         )
 
     def describe(self) -> Dict[str, object]:

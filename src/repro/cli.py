@@ -36,7 +36,7 @@ from repro.counting.api import (
     CountingSession,
     available_methods,
 )
-from repro.counting.policy import ExecutionPolicy
+from repro.counting.policy import POLICY_OPTION_NAMES, ExecutionPolicy
 from repro.errors import ReproError
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.reporting import format_key_values, format_table
@@ -81,15 +81,18 @@ def _method_options(args: argparse.Namespace) -> dict:
         options["limit"] = args.limit if args.limit > 0 else None
     if args.sample_cap is not None:
         options["sample_cap"] = args.sample_cap
-    if getattr(args, "shards", None) is not None:
-        options["shards"] = args.shards
-    if getattr(args, "store", None) is not None:
-        options["store"] = args.store
-    if getattr(args, "window", None) is not None:
-        options["window"] = args.window
-    if getattr(args, "details", None) is not None:
+    if args.details is not None:
         options["details"] = args.details
     return options
+
+
+def _policy_flags(args: argparse.Namespace) -> dict:
+    """The ``count`` policy flags: ``--workers`` plus any explicit shard/store flag."""
+    flags: dict = {"workers": args.workers}
+    for name in POLICY_OPTION_NAMES:
+        if getattr(args, name) is not None:
+            flags[name] = getattr(args, name)
+    return flags
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -106,19 +109,22 @@ def _cmd_count(args: argparse.Namespace) -> int:
             print(format_table(rows, title=f"#NFA for {args.family}, n={args.length}"))
             return 0
     options = _method_options(args)
-    if args.workers != 1:
-        # Explicit per-call override: asking for --workers with a method
-        # that has no worker support fails loudly instead of silently
-        # degrading (the session-pinned copy still degrades for the
-        # ground-truth `exact` run above).
-        options["workers"] = args.workers
-    if args.method == "exact" and exact_report is not None and not options:
+    # The flags form an explicit per-call policy: asking for --workers or
+    # --shards with a method that cannot honour them fails loudly instead
+    # of silently degrading (the session-pinned copy still degrades for
+    # the ground-truth `exact` run above).
+    pinned = session.request(args.method).policy
+    policy = pinned.with_overrides(**_policy_flags(args))
+    rerun = options or policy != pinned
+    if args.method == "exact" and exact_report is not None and not rerun:
         # --compare --method exact: the ground truth already ran once.  Any
-        # per-method option still goes through dispatch below so it is
+        # option or policy flag still goes through dispatch below so it is
         # rejected exactly as it would be without --compare.
         report = exact_report
     else:
-        report = session.count(nfa, args.length, method=args.method, **options)
+        report = session.count(
+            nfa, args.length, method=args.method, policy=policy, **options
+        )
         row = {"method": report.method, "estimate": report.estimate}
         if exact_value is not None:
             row["rel_error"] = report.relative_error(exact_value)

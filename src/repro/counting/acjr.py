@@ -281,36 +281,3 @@ class ACJRCounter:
         if len(accepting) == 1:
             return self.estimates.get((accepting[0], self.length), 0.0)
         return self._union_estimate(accepting, self.length)
-
-
-def count_nfa_acjr(
-    nfa: NFA,
-    length: int,
-    epsilon: float = 0.5,
-    delta: float = 0.1,
-    sample_cap: int = 96,
-    seed: Optional[int] = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
-) -> ACJRResult:
-    """Convenience wrapper around :class:`ACJRCounter`.
-
-    Legacy one-call entry point.  It delegates through the unified counting
-    registry (``repro.count(..., method="acjr")``) and returns the raw
-    :class:`ACJRResult`; estimates, RNG stream and work counters are
-    bit-identical to constructing :class:`ACJRCounter` directly.
-    """
-    from repro.counting.api import count
-
-    report = count(
-        nfa,
-        length,
-        method="acjr",
-        epsilon=epsilon,
-        delta=delta,
-        seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
-        sample_cap=sample_cap,
-    )
-    return report.raw

@@ -6,9 +6,10 @@ enumeration and the exact subset DP — which historically each had their own
 entry point, knob spelling and result type.  This module is the single
 coherent surface over all of them:
 
-* :class:`CountRequest` normalises the shared knobs (``epsilon``,
-  ``delta``, ``seed``, ``backend``, ``use_engine_cache``) plus a per-method
-  ``options`` mapping, with validation at construction time;
+* :class:`CountRequest` normalises the shared targets (``epsilon``,
+  ``delta``, ``seed``), a per-method ``options`` mapping and the
+  :class:`~repro.counting.policy.ExecutionPolicy` that says how the run
+  executes, with validation at construction time;
 * :data:`METHOD_REGISTRY` maps method names to :class:`CounterMethod`
   implementations; new estimators plug in with :func:`register_method`
   instead of new one-off wiring;
@@ -21,13 +22,6 @@ coherent surface over all of them:
   :class:`~repro.automata.engine.EngineRegistry`;
 * :func:`count` is the module-level convenience re-exported as
   ``repro.count``.
-
-The legacy entry points (:func:`~repro.counting.fpras.count_nfa`,
-:func:`~repro.counting.acjr.count_nfa_acjr`,
-:func:`~repro.counting.montecarlo.count_montecarlo`,
-:func:`~repro.counting.bruteforce.count_bruteforce`) remain available as
-thin shims that delegate through this registry with bit-identical RNG
-streams, estimates and work counters.
 
 >>> from repro.automata.nfa import NFA
 >>> nfa = NFA.build(
@@ -49,7 +43,6 @@ import hashlib
 import json
 import random
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -63,14 +56,14 @@ from typing import (
     Union,
 )
 
-from repro.automata.engine import acquire_engine, available_backends
+from repro.automata.engine import acquire_engine
 from repro.automata.exact import count_exact
 from repro.automata.nfa import NFA
 from repro.counting.acjr import ACJRCounter, ACJRParameters, ACJRResult
 from repro.counting.bruteforce import DEFAULT_ENUMERATION_LIMIT, enumerate_count
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
 from repro.counting.montecarlo import MonteCarloEstimate, run_montecarlo
-from repro.counting.parallel import ProgressCallback, validate_workers
+from repro.counting.parallel import ProgressCallback
 from repro.counting.params import ParameterScale
 from repro.counting.policy import (
     POLICY_OPTION_NAMES,
@@ -107,36 +100,22 @@ class CountRequest:
         ``None``, an ``int``, or a ``random.Random`` stream to continue —
         the latter is how differential tests compare RNG streams across
         entry points.
-    backend:
-        Simulation-engine name (``None`` selects the default backend).
-    use_engine_cache:
-        Whether engines are acquired from the shared
-        :class:`~repro.automata.engine.EngineRegistry`.
-    workers:
-        Process count for the sharded parallel executor
-        (:mod:`repro.counting.parallel`): ``1`` (the default) is the serial
-        path, ``0`` means one worker per CPU, and any other value runs the
-        method's shard plan over that many processes.  Only methods
-        registered with worker support (``fpras``, ``montecarlo``) accept
-        ``workers != 1``; estimates are bit-identical for every worker
-        count.  Invalid values and unsupported methods raise
-        :class:`~repro.errors.CountingMethodError`.
     options:
-        Per-method knobs, e.g. ``scale`` / ``shards`` (fpras),
+        Per-method knobs, e.g. ``scale`` / ``details`` (fpras),
         ``sample_cap`` / ``attempt_factor`` (acjr), ``num_samples``
         (montecarlo), ``limit`` (bruteforce).  Unknown options are rejected
-        at dispatch.
+        at dispatch; the execution knobs ``shards`` / ``store`` /
+        ``window`` (:data:`~repro.counting.policy.POLICY_OPTION_NAMES`)
+        belong on ``policy`` and are rejected here.
     policy:
-        Optional :class:`~repro.counting.policy.ExecutionPolicy` bundling
-        the execution knobs (``backend``, ``use_engine_cache``,
-        ``workers``, ``shards``, ``store``, ``window``).  A
-        policy is *consumed* at construction: its core knobs populate the
-        flat fields, its non-default method options merge into
-        ``options``, and the stored ``policy`` attribute is normalised
-        back to ``None`` — so a policy-built request compares (and
-        fingerprints) equal to the flat-kwarg spelling of the same run.
-        Passing a policy together with conflicting flat execution knobs
-        is an error rather than a silent override.
+        The :class:`~repro.counting.policy.ExecutionPolicy` saying how the
+        run executes (``backend``, ``use_engine_cache``, ``workers``,
+        ``shards``, ``store``, ``window``).  Dispatch rejects a policy the
+        method cannot honour: ``workers != 1`` needs a method with worker
+        capability (``fpras``, ``montecarlo``), and each non-default
+        ``shards`` / ``store`` / ``window`` must be one of the method's
+        options.  Invalid values raise
+        :class:`~repro.errors.ParameterError` when the policy is built.
 
     >>> CountRequest(method="montecarlo", options={"num_samples": 64}).epsilon
     0.5
@@ -144,22 +123,21 @@ class CountRequest:
     Traceback (most recent call last):
         ...
     repro.errors.ParameterError: epsilon must be positive
-    >>> CountRequest(policy=ExecutionPolicy(backend="bitset", workers=2)).workers
+    >>> CountRequest(policy=ExecutionPolicy(backend="bitset", workers=2)).policy.workers
     2
-    >>> CountRequest(policy=ExecutionPolicy(store="windowed")) == CountRequest(
-    ...     options={"store": "windowed"})
-    True
+    >>> CountRequest(options={"store": "windowed"})
+    Traceback (most recent call last):
+        ...
+    repro.errors.ParameterError: option(s) ['store'] are execution knobs; \
+set them on policy=ExecutionPolicy(...)
     """
 
     method: str = DEFAULT_METHOD
     epsilon: float = 0.5
     delta: float = 0.1
     seed: SeedLike = None
-    backend: Optional[str] = None
-    use_engine_cache: bool = True
-    workers: int = 1
     options: Mapping[str, object] = field(default_factory=dict)
-    policy: Optional[ExecutionPolicy] = None
+    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, str) or not self.method:
@@ -176,46 +154,18 @@ class CountRequest:
             raise ParameterError("options must be a mapping of option names to values")
         if any(not isinstance(key, str) for key in options):
             raise ParameterError("option names must be strings")
-        if self.policy is not None:
-            if not isinstance(self.policy, ExecutionPolicy):
-                raise ParameterError(
-                    "policy must be an ExecutionPolicy instance "
-                    f"(got {type(self.policy).__name__})"
-                )
-            conflicts = [
-                name
-                for name, used in (
-                    ("backend", self.backend is not None),
-                    ("use_engine_cache", self.use_engine_cache is not True),
-                    ("workers", self.workers != 1),
-                )
-                if used
-            ]
-            conflicts.extend(sorted(set(options) & set(POLICY_OPTION_NAMES)))
-            if conflicts:
-                raise ParameterError(
-                    f"execution knob(s) {conflicts} conflict with the explicit "
-                    "policy; set them on the ExecutionPolicy instead"
-                )
-            object.__setattr__(self, "backend", self.policy.backend)
-            object.__setattr__(self, "use_engine_cache", self.policy.use_engine_cache)
-            object.__setattr__(self, "workers", self.policy.workers)
-            options.update(self.policy.method_options())
-            # Consumed: the normalised request is spelling-independent.
-            object.__setattr__(self, "policy", None)
-        if self.backend is not None and self.backend not in available_backends():
+        misplaced = sorted(set(options) & set(POLICY_OPTION_NAMES))
+        if misplaced:
             raise ParameterError(
-                f"unknown simulation backend {self.backend!r}; "
-                f"available: {list(available_backends())}"
+                f"option(s) {misplaced} are execution knobs; "
+                "set them on policy=ExecutionPolicy(...)"
             )
-        if not isinstance(self.use_engine_cache, bool):
-            raise ParameterError("use_engine_cache must be a bool")
-        validate_workers(self.workers)
+        if not isinstance(self.policy, ExecutionPolicy):
+            raise ParameterError(
+                "policy must be an ExecutionPolicy instance "
+                f"(got {type(self.policy).__name__})"
+            )
         object.__setattr__(self, "options", options)
-
-    def execution_policy(self) -> ExecutionPolicy:
-        """The :class:`ExecutionPolicy` this normalised request denotes."""
-        return ExecutionPolicy.from_request(self)
 
     def rng(self) -> random.Random:
         """The run's randomness stream (a fresh ``Random`` unless one was given)."""
@@ -611,11 +561,6 @@ class RegisteredMethod:
     runner: MethodRunner = field(repr=False)
     capabilities: MethodCapabilities = field(default_factory=MethodCapabilities)
 
-    @property
-    def supports_workers(self) -> bool:
-        """Deprecated alias for ``capabilities.workers`` (read-only shim)."""
-        return self.capabilities.workers
-
     def run(self, nfa: NFA, length: int, request: CountRequest) -> CountReport:
         """Delegate to the wrapped runner function."""
         return self.runner(nfa, length, request)
@@ -631,21 +576,18 @@ def register_method(
     summary: str,
     options: Tuple[str, ...] = (),
     capabilities: Optional[MethodCapabilities] = None,
-    supports_workers: Optional[bool] = None,
 ) -> Callable[[MethodRunner], MethodRunner]:
     """Class/function decorator adding a counting method to the registry.
 
     ``options`` names the per-method knobs the method accepts through
-    :attr:`CountRequest.options`; anything else is rejected at dispatch.
-    ``capabilities`` is the method's declarative
+    :attr:`CountRequest.options`, plus the policy knobs (``shards``,
+    ``store``, ``window``) it honours; anything else is rejected at
+    dispatch.  ``capabilities`` is the method's declarative
     :class:`~repro.counting.policy.MethodCapabilities` record — most
     importantly ``workers=True`` declares that the runner honours
-    :attr:`CountRequest.workers` (routing through the sharded executor in
-    :mod:`repro.counting.parallel`); dispatch rejects ``workers != 1``
-    for methods that do not declare it.  ``supports_workers`` is the
-    deprecated boolean spelling of ``capabilities.workers``: it still
-    works (emitting a :class:`DeprecationWarning`) but may not contradict
-    an explicit ``capabilities`` record.
+    ``CountRequest.policy.workers`` (routing through the sharded executor
+    in :mod:`repro.counting.parallel`); dispatch rejects ``workers != 1``
+    for methods that do not declare it.
 
     >>> @register_method("fortytwo", summary="always 42")
     ... def _run(nfa, length, request):
@@ -657,19 +599,6 @@ def register_method(
     True
     >>> _ = METHOD_REGISTRY.pop("fortytwo")  # keep the doctest side-effect free
     """
-    if supports_workers is not None:
-        warnings.warn(
-            "register_method(supports_workers=...) is deprecated; declare "
-            "capabilities=MethodCapabilities(workers=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if capabilities is None:
-            capabilities = MethodCapabilities(workers=bool(supports_workers))
-        elif capabilities.workers != bool(supports_workers):
-            raise ParameterError(
-                "supports_workers contradicts the explicit capabilities record"
-            )
     resolved = capabilities if capabilities is not None else MethodCapabilities()
 
     def decorator(runner: MethodRunner) -> MethodRunner:
@@ -713,10 +642,10 @@ def fpras_parameters(request: CountRequest) -> FPRASParameters:
         delta=request.delta,
         scale=scale if scale is not None else ParameterScale.practical(),
         seed=request.integer_seed(),
-        backend=request.backend,
-        use_engine_cache=request.use_engine_cache,
-        store=request.option("store", "dict"),
-        window=request.option("window", 4),
+        backend=request.policy.backend,
+        use_engine_cache=request.policy.use_engine_cache,
+        store=request.policy.store,
+        window=request.policy.window,
         details=request.option("details", "full"),
     )
 
@@ -759,16 +688,16 @@ def _run_fpras(
     see :func:`count_with_progress`) observes completed levels without
     touching the RNG stream, so it never changes the estimate.
     """
-    shards = request.option("shards", 1)
-    if request.workers != 1 or shards != 1:
+    policy = request.policy
+    if policy.workers != 1 or policy.shards != 1:
         from repro.counting.parallel import run_fpras_sharded
 
         result, parallel_details = run_fpras_sharded(
             nfa,
             length,
             fpras_parameters(request),
-            shards=shards,
-            workers=request.workers,
+            shards=policy.shards,
+            workers=policy.workers,
             seed=request.seed,
             progress=progress,
         )
@@ -793,11 +722,8 @@ def _run_fpras(
             "sample_draws": result.sample_draws,
             "padded_states": result.padded_states,
             **(
-                {
-                    "store": request.option("store", "dict"),
-                    "window": request.option("window", 4),
-                }
-                if request.option("store", "dict") != "dict"
+                {"store": policy.store, "window": policy.window}
+                if policy.store != "dict"
                 else {}
             ),
             **parallel_details,
@@ -819,8 +745,8 @@ def _run_acjr(nfa: NFA, length: int, request: CountRequest) -> CountReport:
         sample_cap=request.option("sample_cap", 96),
         attempt_factor=request.option("attempt_factor", 6.0),
         seed=request.integer_seed(),
-        backend=request.backend,
-        use_engine_cache=request.use_engine_cache,
+        backend=request.policy.backend,
+        use_engine_cache=request.policy.use_engine_cache,
     )
     rng = request.seed if isinstance(request.seed, random.Random) else None
     counter = ACJRCounter(nfa, length, parameters, rng=rng)
@@ -870,7 +796,8 @@ def _run_montecarlo(
     """
     num_samples = request.option("num_samples", 10_000)
     rng = request.rng()
-    if request.workers != 1 or progress is not None:
+    policy = request.policy
+    if policy.workers != 1 or progress is not None:
         from repro.counting.parallel import run_montecarlo_sharded
 
         started = time.perf_counter()
@@ -879,9 +806,9 @@ def _run_montecarlo(
             length,
             num_samples,
             rng,
-            backend=request.backend,
-            use_engine_cache=request.use_engine_cache,
-            workers=request.workers,
+            backend=policy.backend,
+            use_engine_cache=policy.use_engine_cache,
+            workers=policy.workers,
             progress=progress,
         )
         elapsed = time.perf_counter() - started
@@ -904,7 +831,7 @@ def _run_montecarlo(
             raw=result,
         )
     engine, from_cache = acquire_engine(
-        nfa, request.backend, use_cache=request.use_engine_cache
+        nfa, policy.backend, use_cache=policy.use_engine_cache
     )
     base = dict(engine.counters())
     started = time.perf_counter()
@@ -937,7 +864,7 @@ def _run_bruteforce(nfa: NFA, length: int, request: CountRequest) -> CountReport
     """Enumerate the slice exactly, reporting limit info and counter deltas."""
     limit = request.options.get("limit", DEFAULT_ENUMERATION_LIMIT)
     engine, from_cache = acquire_engine(
-        nfa, request.backend, use_cache=request.use_engine_cache
+        nfa, request.policy.backend, use_cache=request.policy.use_engine_cache
     )
     base = dict(engine.counters())
     started = time.perf_counter()
@@ -986,14 +913,16 @@ def _run_exact(nfa: NFA, length: int, request: CountRequest) -> CountReport:
 # ----------------------------------------------------------------------
 def _check_dispatch(method: CounterMethod, request: CountRequest) -> None:
     """Shared request validation for :func:`dispatch` and :func:`count_with_progress`."""
-    unknown = set(request.options) - set(method.option_names)
+    named = set(request.options) | set(request.policy.method_options())
+    unknown = named - set(method.option_names)
     if unknown:
         accepted = sorted(method.option_names)
         raise CountingMethodError(
             f"method {request.method!r} does not accept option(s) {sorted(unknown)}; "
             f"accepted options: {accepted if accepted else 'none'}"
         )
-    if request.workers != 1 and not method.capabilities.workers:
+    workers = request.policy.workers
+    if workers != 1 and not method.capabilities.workers:
         supported = sorted(
             name
             for name, entry in METHOD_REGISTRY.items()
@@ -1001,7 +930,7 @@ def _check_dispatch(method: CounterMethod, request: CountRequest) -> None:
         )
         raise CountingMethodError(
             f"method {request.method!r} does not support sharded parallel "
-            f"execution (workers={request.workers}); methods with worker "
+            f"execution (workers={workers}); methods with worker "
             f"support: {supported}"
         )
 
@@ -1053,12 +982,12 @@ def count_with_progress(
 # ----------------------------------------------------------------------
 # Request canonicalisation (the serving layer's cache key)
 # ----------------------------------------------------------------------
-#: Per-method options that can never change an estimate — the state-table
-#: store and its window only move table entries between RAM and spill (the
-#: parity contract in :mod:`repro.counting.store`), and ``details`` only
-#: selects how much of the tables a report embeds.  Like ``workers``, they
-#: are excluded from the cache key so one cached answer serves every
-#: execution configuration.
+#: Options that can never change an estimate — the state-table store and
+#: its window only move table entries between RAM and spill (the parity
+#: contract in :mod:`repro.counting.store`), and ``details`` only selects
+#: how much of the tables a report embeds.  Like ``workers``, they are
+#: excluded from the cache key so one cached answer serves every execution
+#: configuration.
 RESULT_NEUTRAL_OPTIONS = frozenset({"store", "window", "details"})
 
 
@@ -1067,22 +996,24 @@ def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, obj
 
     Contains exactly the knobs that can change an estimate: the method
     name, the instance length, the epsilon/delta targets, the integer
-    seed, the backend, and the per-method options in sorted order —
-    notably the fpras ``shards``, which selects the shard plan and hence
-    the RNG substream layout.  ``workers`` and ``use_engine_cache`` are
-    deliberately absent: the sharded executor's plan-invariance contract
-    makes estimates bit-identical across worker counts, and the engine
-    registry never changes results — so one cached answer serves every
-    worker configuration.  Result-neutral per-method options
-    (:data:`RESULT_NEUTRAL_OPTIONS` — the fpras ``store`` / ``window`` /
-    ``details`` knobs) are filtered out for the same reason.
+    seed, the policy's backend, and in sorted order the per-method options
+    plus the policy's non-default method options — notably ``shards``,
+    which selects the shard plan and hence the RNG substream layout.
+    ``workers`` and ``use_engine_cache`` are deliberately absent: the
+    sharded executor's plan-invariance contract makes estimates
+    bit-identical across worker counts, and the engine registry never
+    changes results — so one cached answer serves every worker
+    configuration.  Result-neutral options (:data:`RESULT_NEUTRAL_OPTIONS`
+    — the fpras ``store`` / ``window`` / ``details`` knobs) are filtered
+    out for the same reason.
 
-    >>> a = CountRequest(method="fpras", seed=7, options={"shards": 2})
-    >>> b = CountRequest(method="fpras", seed=7, workers=4, options={"shards": 2})
+    >>> a = CountRequest(method="fpras", seed=7, policy=ExecutionPolicy(shards=2))
+    >>> b = CountRequest(method="fpras", seed=7,
+    ...                  policy=ExecutionPolicy(shards=2, workers=4))
     >>> canonical_request_knobs(a, 8) == canonical_request_knobs(b, 8)
     True
-    >>> c = CountRequest(method="fpras", seed=7,
-    ...                  options={"shards": 2, "store": "windowed", "window": 8})
+    >>> c = CountRequest(method="fpras", seed=7, policy=ExecutionPolicy(
+    ...     shards=2, store="windowed", window=8))
     >>> canonical_request_knobs(c, 8) == canonical_request_knobs(a, 8)
     True
     """
@@ -1090,16 +1021,17 @@ def canonical_request_knobs(request: CountRequest, length: int) -> Dict[str, obj
         raise CountingMethodError(
             "a random.Random seed is a live stream and cannot be canonicalised"
         )
+    options = {**request.options, **request.policy.method_options()}
     return {
         "method": request.method,
         "length": int(length),
         "epsilon": float(request.epsilon),
         "delta": float(request.delta),
         "seed": request.seed,
-        "backend": request.backend,
+        "backend": request.policy.backend,
         "options": {
-            key: request.options[key]
-            for key in sorted(request.options)
+            key: options[key]
+            for key in sorted(options)
             if key not in RESULT_NEUTRAL_OPTIONS
         },
     }
@@ -1136,39 +1068,6 @@ def request_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _warn_flat_execution_kwargs(
-    backend: Optional[str],
-    use_engine_cache: bool,
-    workers: int,
-    options: Mapping[str, object],
-) -> None:
-    """One :class:`DeprecationWarning` for the legacy flat execution knobs.
-
-    Emitted by the user-facing entry points (:func:`count` and
-    :class:`CountingSession`) when execution knobs arrive as flat kwargs
-    instead of an :class:`~repro.counting.policy.ExecutionPolicy`.  The
-    flat spelling keeps working — and denotes exactly the same request,
-    fingerprint included — it is just no longer the recommended surface.
-    """
-    legacy = [
-        name
-        for name, used in (
-            ("backend", backend is not None),
-            ("use_engine_cache", use_engine_cache is not True),
-            ("workers", workers != 1),
-        )
-        if used
-    ]
-    legacy.extend(sorted(set(options) & set(POLICY_OPTION_NAMES)))
-    if legacy:
-        warnings.warn(
-            f"flat execution kwarg(s) {legacy} are deprecated; bundle them "
-            "into an ExecutionPolicy and pass policy=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
 def count(
     nfa: NFA,
     length: int,
@@ -1177,24 +1076,19 @@ def count(
     epsilon: float = 0.5,
     delta: float = 0.1,
     seed: SeedLike = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
-    workers: int = 1,
     policy: Optional[ExecutionPolicy] = None,
     **options: object,
 ) -> CountReport:
     """Count ``|L(A_length)|`` with any registered method (``repro.count``).
 
     Extra keyword arguments become per-method options (``scale``,
-    ``shards``, ``sample_cap``, ``num_samples``, ``limit``, …).
-    ``policy`` bundles the execution knobs into one typed
-    :class:`~repro.counting.policy.ExecutionPolicy`; the flat ``backend``
-    / ``use_engine_cache`` / ``workers`` (and the ``shards`` / ``store``
-    / ``window`` options) remain as deprecation shims that
-    denote bit-identical requests.  ``workers`` runs methods declaring
-    worker capability (``fpras``, ``montecarlo``) through the sharded
-    parallel executor — see :mod:`repro.counting.parallel`; estimates are
-    bit-identical for every worker count.
+    ``sample_cap``, ``num_samples``, ``limit``, …).  ``policy`` is the
+    :class:`~repro.counting.policy.ExecutionPolicy` saying how the run
+    executes (``None`` means the default policy); its ``workers`` runs
+    methods declaring worker capability (``fpras``, ``montecarlo``)
+    through the sharded parallel executor — see
+    :mod:`repro.counting.parallel`; estimates are bit-identical for every
+    worker count.
 
     >>> from repro.automata.families import no_consecutive_ones_nfa
     >>> count(no_consecutive_ones_nfa(), 5, method="bruteforce").raw
@@ -1208,18 +1102,13 @@ def count(
     repro.errors.CountingMethodError: unknown counting method 'no_such_method'; \
 available: ['acjr', 'bruteforce', 'exact', 'fpras', 'montecarlo']
     """
-    if policy is None:
-        _warn_flat_execution_kwargs(backend, use_engine_cache, workers, options)
     request = CountRequest(
         method=method,
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        backend=backend,
-        use_engine_cache=use_engine_cache,
-        workers=workers,
         options=options,
-        policy=policy,
+        policy=policy if policy is not None else ExecutionPolicy(),
     )
     return dispatch(nfa, length, request)
 
@@ -1228,7 +1117,7 @@ class CountingSession:
     """Pins the shared counting knobs once; every call goes through the registry.
 
     A session is the façade the CLI, harness and applications use: seed,
-    backend and engine-cache policy are fixed at construction, repeated
+    targets and execution policy are fixed at construction, repeated
     calls on the same automaton reuse its engine through the shared
     :class:`~repro.automata.engine.EngineRegistry` (watch
     ``report.engine_counters["engine_cache_hit"]``), and every
@@ -1255,30 +1144,23 @@ class CountingSession:
         epsilon: float = 0.5,
         delta: float = 0.1,
         seed: SeedLike = None,
-        backend: Optional[str] = None,
-        use_engine_cache: bool = True,
-        workers: int = 1,
         policy: Optional[ExecutionPolicy] = None,
         **options: object,
     ) -> None:
-        if policy is None:
-            _warn_flat_execution_kwargs(backend, use_engine_cache, workers, options)
         self._base = CountRequest(
             method=method,
             epsilon=epsilon,
             delta=delta,
             seed=seed,
-            backend=backend,
-            use_engine_cache=use_engine_cache,
-            workers=workers,
             options=options,
-            policy=policy,
+            policy=policy if policy is not None else ExecutionPolicy(),
         )
         # Pinned options must be valid for the pinned method, so typos fail
         # here instead of being silently dropped by the per-method filter in
         # :meth:`request` (which only exists so a session pinned for one
         # method can still run the others).
-        unknown = set(self._base.options) - set(resolve_method(method).option_names)
+        named = set(self._base.options) | set(self._base.policy.method_options())
+        unknown = named - set(resolve_method(method).option_names)
         if unknown:
             raise CountingMethodError(
                 f"session option(s) {sorted(unknown)} are not accepted by the "
@@ -1304,36 +1186,50 @@ class CountingSession:
         return self._reports[-1] if self._reports else None
 
     # ------------------------------------------------------------------
-    def request(self, method: Optional[str] = None, **overrides: object) -> CountRequest:
+    def request(
+        self,
+        method: Optional[str] = None,
+        *,
+        policy: Optional[ExecutionPolicy] = None,
+        **overrides: object,
+    ) -> CountRequest:
         """The request one call would use: pinned knobs plus overrides.
 
         Session-level options that the target method does not accept are
-        dropped (so a session pinned for fpras can still run ``exact``);
-        the same applies to pinned ``workers`` when the target method has no
-        worker support.  Per-call overrides are kept verbatim and validated
-        at dispatch.
+        dropped (so a session pinned for fpras can still run ``exact``),
+        and so is every pinned policy knob the method cannot honour: it is
+        reset to its default.  A per-call ``policy`` replaces the pinned
+        one verbatim, and per-call overrides (``epsilon``, ``delta``,
+        ``seed`` or options) are kept verbatim; both are validated at
+        dispatch.
         """
         method_name = method if method is not None else self._base.method
         entry = resolve_method(method_name)
         accepted = entry.option_names
-        core = {}
-        for knob in ("epsilon", "delta", "seed", "backend", "use_engine_cache", "workers"):
-            if knob in overrides:
-                core[knob] = overrides.pop(knob)
+        core = {
+            knob: overrides.pop(knob)
+            for knob in ("epsilon", "delta", "seed")
+            if knob in overrides
+        }
         options = {
             key: value
             for key, value in self._base.options.items()
             if key in accepted
         }
         options.update(overrides)
-        request = replace(self._base, method=method_name, options=options, **core)
-        if (
-            request.workers != 1
-            and "workers" not in core
-            and not entry.capabilities.workers
-        ):
-            request = replace(request, workers=1)
-        return request
+        if policy is None:
+            policy = self._base.policy
+            resets = [name for name in policy.method_options() if name not in accepted]
+            if policy.workers != 1 and not entry.capabilities.workers:
+                resets.append("workers")
+            if resets:
+                default = ExecutionPolicy()
+                policy = policy.with_overrides(
+                    **{name: getattr(default, name) for name in resets}
+                )
+        return replace(
+            self._base, method=method_name, options=options, policy=policy, **core
+        )
 
     # ------------------------------------------------------------------
     # Manifest hooks: the audit pipeline observes sessions through these.
@@ -1355,10 +1251,16 @@ class CountingSession:
         return detach
 
     def count(
-        self, nfa: NFA, length: int, method: Optional[str] = None, **overrides: object
+        self,
+        nfa: NFA,
+        length: int,
+        method: Optional[str] = None,
+        *,
+        policy: Optional[ExecutionPolicy] = None,
+        **overrides: object,
     ) -> CountReport:
         """Count one instance through the registry with the pinned knobs."""
-        request = self.request(method, **overrides)
+        request = self.request(method, policy=policy, **overrides)
         report = dispatch(nfa, length, request)
         self._reports.append(report)
         for observer in list(self._observers):
@@ -1394,9 +1296,7 @@ class CountingSession:
             "epsilon": self._base.epsilon,
             "delta": self._base.delta,
             "seed": self._base.seed,
-            "backend": self._base.backend,
-            "use_engine_cache": self._base.use_engine_cache,
-            "workers": self._base.workers,
+            **self._base.policy.describe(),
             "options": dict(self._base.options),
             "calls": len(self._reports),
         }
@@ -1405,6 +1305,6 @@ class CountingSession:
         return (
             f"CountingSession(method={self._base.method!r}, "
             f"epsilon={self._base.epsilon}, delta={self._base.delta}, "
-            f"seed={self._base.seed!r}, backend={self._base.backend!r}, "
+            f"seed={self._base.seed!r}, backend={self._base.policy.backend!r}, "
             f"calls={len(self._reports)})"
         )

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.automata.engine import Engine
 from repro.automata.nfa import NFA
-from repro.counting.policy import ExecutionPolicy
 from repro.errors import ParameterError
 
 #: Refuse to enumerate more words than this by default (safety valve).
@@ -29,7 +28,7 @@ def enumerate_count(
     counting method (see :mod:`repro.counting.api`), which handles engine
     acquisition and wraps the count in a structured
     :class:`~repro.counting.api.CountReport` carrying the limit and
-    engine-counter diagnostics; use :func:`count_bruteforce` or
+    engine-counter diagnostics; use
     ``repro.count(..., method="bruteforce")`` instead of calling it
     directly.
 
@@ -67,32 +66,3 @@ def enumerate_count(
         )
 
     return count_from(engine.initial, length)
-
-
-def count_bruteforce(
-    nfa: NFA,
-    length: int,
-    limit: Optional[int] = DEFAULT_ENUMERATION_LIMIT,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
-) -> int:
-    """Count ``|L(A_length)|`` by enumerating every word of that length.
-
-    Legacy one-call entry point returning the bare ``int`` count.  It
-    delegates through the unified counting registry — the structured result
-    (wall time, ``engine_counters`` deltas, limit info) is available as the
-    :class:`~repro.counting.api.CountReport` returned by
-    ``repro.count(nfa, length, method="bruteforce", limit=...)``; this shim
-    simply unwraps ``report.raw``.  The engine comes from the shared
-    registry unless ``use_engine_cache`` is ``False``.
-    """
-    from repro.counting.api import count
-
-    report = count(
-        nfa,
-        length,
-        method="bruteforce",
-        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
-        limit=limit,
-    )
-    return report.raw

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.automata.nfa import NFA, State, Word
 from repro.automata.unroll import UnrolledAutomaton
-from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.params import FPRASParameters
 from repro.counting.sampler import SampleDraw, SamplerStatistics
 from repro.counting.store import create_store
 from repro.counting.union import SetAccess, approximate_union
@@ -573,56 +573,3 @@ class NFACounter:
     def state_samples(self, state: State, level: int) -> Sequence[Word]:
         """The stored sample multiset ``S(q^l)``."""
         return tuple(self.samples.get((state, level), ()))
-
-
-def count_nfa(
-    nfa: NFA,
-    length: int,
-    epsilon: float = 0.5,
-    delta: float = 0.1,
-    seed: Optional[int] = None,
-    scale: Optional[ParameterScale] = None,
-    backend: Optional[str] = None,
-    use_engine_cache: bool = True,
-) -> CountResult:
-    """One-call convenience wrapper around :class:`NFACounter`.
-
-    Parameters mirror the paper's interface: the NFA, the word length ``n``
-    (in unary in the paper — an ``int`` here), the accuracy ``epsilon`` and
-    the confidence ``delta``.  ``scale`` selects between paper-exact and
-    laptop-scale parameters (see :class:`ParameterScale`); ``backend``
-    selects the simulation engine (``None`` for the default bitset backend)
-    and ``use_engine_cache=False`` opts out of the shared engine registry
-    (results are identical either way).
-
-    >>> from repro.automata.nfa import NFA
-    >>> nfa = NFA.build(
-    ...     [("s", "0", "s"), ("s", "1", "t"), ("t", "0", "t"), ("t", "1", "t")],
-    ...     initial="s", accepting=["t"])
-    >>> result = count_nfa(nfa, length=4, epsilon=0.5, seed=7)
-    >>> result.estimate > 0 and result.backend == "bitset"
-    True
-    >>> result.estimate == count_nfa(
-    ...     nfa, length=4, epsilon=0.5, seed=7, use_engine_cache=False).estimate
-    True
-
-    The call delegates through the unified counting registry
-    (``repro.count(..., method="fpras")`` — see :mod:`repro.counting.api`)
-    and returns the raw :class:`CountResult`; estimates, RNG stream and
-    work counters are bit-identical to constructing :class:`NFACounter`
-    directly.
-    """
-    from repro.counting.api import count
-    from repro.counting.policy import ExecutionPolicy
-
-    report = count(
-        nfa,
-        length,
-        method="fpras",
-        epsilon=epsilon,
-        delta=delta,
-        seed=seed,
-        policy=ExecutionPolicy(backend=backend, use_engine_cache=use_engine_cache),
-        scale=scale,
-    )
-    return report.raw

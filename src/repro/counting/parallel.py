@@ -138,7 +138,7 @@ ProgressCallback = Callable[[Dict[str, object]], None]
 def validate_workers(workers: object) -> int:
     """Validate the ``workers`` knob without resolving ``0``.
 
-    Shared by :class:`~repro.counting.api.CountRequest` (which must keep the
+    Shared by :class:`~repro.counting.policy.ExecutionPolicy` (which must keep the
     literal ``0`` so the resolution happens at execution time) and
     :func:`resolve_workers`.
 

@@ -1,23 +1,19 @@
 """Typed execution policies and declarative method capabilities.
 
-Execution of a counting run has historically been configured through a
-sprawl of flat keyword arguments — ``backend``, ``use_engine_cache``,
-``workers`` on the core request plus the fpras-only ``shards`` / ``store``
-/ ``window`` options — spelled slightly differently by
-:func:`repro.count`, :class:`~repro.counting.api.CountingSession` and the
-CLI.  This module is the typed consolidation of that surface:
+A counting run is defined by the NFA, the length ``n`` and the targets
+``epsilon`` / ``delta``; everything else only says how the run executes.
+This module holds that second half:
 
 * :class:`ExecutionPolicy` bundles every knob that decides *how* a run
   executes (never *what* it computes: estimates are bit-identical across
   policies with the same seed, which is what the parity suites enforce).
-  It is accepted by :class:`~repro.counting.api.CountRequest`,
-  :func:`repro.count`, :class:`~repro.counting.api.CountingSession` and
-  the CLI; the old flat kwargs remain as deprecation shims and produce
-  byte-identical request fingerprints (the neutrality test in
-  ``tests/test_policy.py`` pins this).
-* :class:`MethodCapabilities` replaces the ad-hoc ``supports_workers``
-  attribute on registry entries with a declarative record (worker
-  support, anytime progress, accepted stores).
+  It is the only spelling of those knobs —
+  :class:`~repro.counting.api.CountRequest` carries one as its ``policy``
+  field, and :func:`repro.count`,
+  :class:`~repro.counting.api.CountingSession`, the CLI and the serving
+  layer all build one.
+* :class:`MethodCapabilities` is the declarative record a registered
+  method carries (worker support, anytime progress, accepted stores).
 """
 
 from __future__ import annotations
@@ -28,11 +24,11 @@ from typing import Dict, Optional, Tuple
 from repro.automata.engine import available_backends
 from repro.errors import ParameterError
 
-#: The per-method option names :class:`ExecutionPolicy` manages.  These
-#: are carried inside :attr:`CountRequest.options` (the fpras execution
-#: options); the policy emits only non-default values so a default policy
-#: denotes exactly the same request — and the same fingerprint — as no
-#: policy at all.
+#: The policy knobs a method honours only if it names them among its
+#: options (the fpras execution options).  :meth:`ExecutionPolicy.method_options`
+#: emits only their non-default values, so a default policy puts no demand
+#: on a method and adds nothing to a request's fingerprint; the same names
+#: are rejected as plain :attr:`CountRequest.options`.
 POLICY_OPTION_NAMES: Tuple[str, ...] = ("shards", "store", "window")
 
 
@@ -102,10 +98,9 @@ class ExecutionPolicy:
     def method_options(self) -> Dict[str, object]:
         """The per-method options this policy denotes, defaults omitted.
 
-        Omitting default values is what makes the policy spelling
-        fingerprint-neutral: a default policy contributes no options, so
-        the canonical request knobs — and hence the content-addressed
-        cache key — are byte-identical to the flat-kwarg spelling.
+        Dispatch checks these names against the method's options, and the
+        content-addressed cache key includes them; omitting default values
+        means a default policy demands nothing and hashes like no policy.
         """
         options: Dict[str, object] = {}
         if self.shards != 1:
@@ -135,39 +130,18 @@ class ExecutionPolicy:
         """
         return replace(self, **changes)
 
-    @classmethod
-    def from_request(cls, request) -> "ExecutionPolicy":
-        """The policy a normalised :class:`CountRequest` denotes.
-
-        Inverse of passing ``policy=`` to the request: core execution
-        fields come back from the flat attributes, managed options from
-        the options mapping (absent options mean defaults), so
-        ``ExecutionPolicy.from_request(CountRequest(policy=p)) == p``
-        whenever ``p`` only sets policy-managed knobs — the round-trip
-        test pins it.
-        """
-        return cls(
-            backend=request.backend,
-            use_engine_cache=request.use_engine_cache,
-            workers=request.workers,
-            shards=request.option("shards", 1),
-            store=request.option("store", "dict"),
-            window=request.option("window", 4),
-        )
-
 
 @dataclass(frozen=True)
 class MethodCapabilities:
     """What a registered counting method declares it can do.
 
-    Dispatch reads these fields instead of probing registry entries with
-    ``getattr(..., "supports_workers", False)``, and ``repro methods``
-    renders them as capability columns.
+    Dispatch reads these fields, and ``repro methods`` renders them as
+    capability columns.
 
     Attributes
     ----------
     workers:
-        The runner honours ``CountRequest.workers`` through the sharded
+        The runner honours ``ExecutionPolicy.workers`` through the sharded
         executor (:mod:`repro.counting.parallel`).
     progress:
         The runner accepts an anytime progress callback

@@ -389,13 +389,20 @@ class CountingServer:
         stream = body.get("stream", False)
         if not isinstance(stream, bool):
             raise _RequestError(400, "'stream' must be a boolean")
+        # Execution knobs (the backend/workers wire fields and the
+        # shards/store/window options) form a per-call policy on top of the
+        # server's pinned policy for the method; the rest pass through.
         knobs: Dict[str, object] = dict(options)
-        for field in ("method", "epsilon", "delta", "seed", "backend", "workers"):
-            if field in body:
-                knobs[field] = body[field]
+        execution = {name: knobs.pop(name) for name in POLICY_OPTION_NAMES if name in knobs}
+        execution.update({name: body[name] for name in ("backend", "workers") if name in body})
+        knobs.update({name: body[name] for name in ("epsilon", "delta", "seed") if name in body})
+        method = body.get("method")
         try:
             nfa = nfa_from_dict(automaton)
-            request = self._session.request(**knobs)
+            policy = None
+            if execution:
+                policy = self._session.request(method).policy.with_overrides(**execution)
+            request = self._session.request(method, policy=policy, **knobs)
         except (ReproError, TypeError, ValueError) as exc:
             raise _RequestError(400, str(exc)) from None
         return nfa, length, request, stream

@@ -36,8 +36,10 @@ from repro.automata.engine import (
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nfa, random_nonempty_nfa
 from repro.automata.unroll import ReachabilityCache, UnrolledAutomaton
-from repro.counting.fpras import NFACounter, count_nfa
+from repro.counting.api import count
+from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.union import SetAccess, approximate_union
 
 BATCH_SWEEP_SEEDS = range(30)
@@ -352,9 +354,11 @@ class TestEngineRegistry:
 
     def test_shared_and_private_runs_bit_identical(self):
         nfa = families.no_consecutive_ones_nfa()
-        shared_first = count_nfa(nfa, 8, epsilon=0.5, seed=13)
-        shared_second = count_nfa(nfa, 8, epsilon=0.5, seed=13)
-        private = count_nfa(nfa, 8, epsilon=0.5, seed=13, use_engine_cache=False)
+        shared_first = count(nfa, 8, epsilon=0.5, seed=13).raw
+        shared_second = count(nfa, 8, epsilon=0.5, seed=13).raw
+        private = count(
+            nfa, 8, epsilon=0.5, seed=13, policy=ExecutionPolicy(use_engine_cache=False)
+        ).raw
         assert shared_first.estimate == shared_second.estimate == private.estimate
         assert (
             shared_first.membership_calls

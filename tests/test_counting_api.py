@@ -3,9 +3,8 @@
 Three families of checks:
 
 * **differential parity** — ``repro.count(..., method=X)`` must be
-  bit-identical (estimate, RNG stream, work counters) to each legacy entry
-  point and to direct construction of the underlying counter classes under
-  a shared seed;
+  bit-identical (estimate, RNG stream, work counters) to direct
+  construction of the underlying counter classes under a shared seed;
 * **error paths** — unknown methods, invalid :class:`CountRequest` fields
   and unknown per-method options are rejected with typed errors;
 * **façade behaviour** — :class:`CountingSession` pinning, engine reuse
@@ -20,10 +19,11 @@ import random
 import pytest
 
 import repro
+from repro.automata.engine import acquire_engine
 from repro.automata.exact import count_exact
 from repro.automata.families import all_words_nfa, no_consecutive_ones_nfa, substring_nfa
 from repro.cli import main
-from repro.counting.acjr import ACJRCounter, ACJRParameters, count_nfa_acjr
+from repro.counting.acjr import ACJRCounter, ACJRParameters
 from repro.counting.api import (
     METHOD_REGISTRY,
     CountingSession,
@@ -35,10 +35,10 @@ from repro.counting.api import (
     register_method,
     resolve_method,
 )
-from repro.counting.bruteforce import count_bruteforce
-from repro.counting.fpras import FPRASParameters, NFACounter, count_nfa
-from repro.counting.montecarlo import count_montecarlo
+from repro.counting.fpras import FPRASParameters, NFACounter
+from repro.counting.montecarlo import run_montecarlo
 from repro.counting.params import ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.uniform import UniformWordSampler
 from repro.errors import CountingMethodError, NumericRangeError, ParameterError, ReproError
 
@@ -51,21 +51,9 @@ def nfa():
 
 
 # ----------------------------------------------------------------------
-# Differential parity: façade vs legacy entry points vs direct classes
+# Differential parity: façade vs direct classes
 # ----------------------------------------------------------------------
 class TestFprasParity:
-    def test_shim_returns_identical_count_result(self, nfa):
-        legacy = count_nfa(nfa, 8, epsilon=0.5, delta=0.2, seed=SEED)
-        report = count(nfa, 8, method="fpras", epsilon=0.5, delta=0.2, seed=SEED)
-        assert type(report.raw) is type(legacy)
-        assert report.estimate == legacy.estimate
-        assert report.raw.union_calls == legacy.union_calls
-        assert report.raw.membership_calls == legacy.membership_calls
-        assert report.raw.sample_draws == legacy.sample_draws
-        assert report.raw.sample_successes == legacy.sample_successes
-        assert report.raw.state_estimates == legacy.state_estimates
-        assert report.backend == legacy.backend
-
     def test_rng_stream_identical_to_direct_counter(self, nfa):
         direct_rng, api_rng = random.Random(SEED), random.Random(SEED)
         direct = NFACounter(
@@ -109,16 +97,6 @@ class TestFprasParity:
 
 
 class TestACJRParity:
-    def test_shim_returns_identical_result(self, nfa):
-        legacy = count_nfa_acjr(nfa, 6, epsilon=0.4, sample_cap=32, seed=2)
-        report = count(
-            nfa, 6, method="acjr", epsilon=0.4, seed=2, sample_cap=32
-        )
-        assert report.estimate == legacy.estimate
-        assert report.raw.membership_calls == legacy.membership_calls
-        assert report.raw.sample_draws == legacy.sample_draws
-        assert report.raw.state_estimates == legacy.state_estimates
-
     def test_rng_stream_identical_to_direct_counter(self, nfa):
         direct_rng, api_rng = random.Random(SEED), random.Random(SEED)
         direct = ACJRCounter(
@@ -136,19 +114,13 @@ class TestACJRParity:
 
 
 class TestMonteCarloParity:
-    def test_shim_returns_identical_estimate(self, nfa):
-        legacy = count_montecarlo(nfa, 8, num_samples=400, seed=3)
-        report = count(nfa, 8, method="montecarlo", seed=3, num_samples=400)
-        assert report.raw == legacy  # frozen dataclass equality: all fields
-        assert report.details["hits"] == legacy.hits
-        assert report.details["total_words"] == legacy.total_words
-
     def test_rng_stream_identical(self, nfa):
-        legacy_rng, api_rng = random.Random(SEED), random.Random(SEED)
-        legacy = count_montecarlo(nfa, 8, num_samples=300, seed=legacy_rng)
+        direct_rng, api_rng = random.Random(SEED), random.Random(SEED)
+        engine, _ = acquire_engine(nfa, use_cache=False)
+        direct = run_montecarlo(nfa, 8, 300, direct_rng, engine)
         report = count(nfa, 8, method="montecarlo", seed=api_rng, num_samples=300)
-        assert legacy_rng.getstate() == api_rng.getstate()
-        assert report.estimate == legacy.estimate
+        assert direct_rng.getstate() == api_rng.getstate()
+        assert report.raw == direct  # frozen dataclass equality: all fields
 
     def test_no_guarantee_fields(self, nfa):
         report = count(nfa, 6, method="montecarlo", seed=1, num_samples=50)
@@ -158,11 +130,6 @@ class TestMonteCarloParity:
 
 
 class TestBruteForceParity:
-    def test_shim_still_returns_bare_int(self, nfa):
-        value = count_bruteforce(nfa, 7)
-        assert isinstance(value, int)
-        assert value == count_exact(nfa, 7)
-
     def test_report_is_structured(self, nfa):
         report = count(nfa, 7, method="bruteforce", limit=1000)
         assert report.exact
@@ -172,14 +139,11 @@ class TestBruteForceParity:
         assert "step_ops" in report.engine_counters
         assert report.error_bounds() == (report.estimate, report.estimate)
 
-    def test_limit_error_propagates_through_shim_and_facade(self, nfa):
-        with pytest.raises(ParameterError):
-            count_bruteforce(nfa, 30, limit=1000)
+    def test_limit_error_propagates_through_facade(self, nfa):
         with pytest.raises(ParameterError):
             count(nfa, 30, method="bruteforce", limit=1000)
 
     def test_limit_none_disables_check(self, nfa):
-        assert count_bruteforce(nfa, 4, limit=None) == count_exact(nfa, 4)
         assert count(nfa, 4, method="bruteforce", limit=None).raw == count_exact(nfa, 4)
 
 
@@ -239,8 +203,8 @@ class TestErrorPaths:
             {"delta": 0.0},
             {"delta": 1.0},
             {"seed": "not-a-seed"},
-            {"backend": "no_such_backend"},
-            {"use_engine_cache": "yes"},
+            {"policy": {"backend": "bitset"}},
+            {"options": {"store": "windowed"}},
             {"method": ""},
             {"method": 42},
             {"options": 17},
@@ -338,7 +302,9 @@ class TestCountingSession:
         assert second.engine_counters["engine_cache_hit"] == 1
 
     def test_no_engine_cache_opts_out(self, nfa):
-        session = CountingSession(epsilon=0.5, seed=1, use_engine_cache=False)
+        session = CountingSession(
+            epsilon=0.5, seed=1, policy=ExecutionPolicy(use_engine_cache=False)
+        )
         session.count(nfa, 6)
         second = session.count(nfa, 6)
         assert second.engine_counters["engine_cache_hit"] == 0
@@ -414,7 +380,9 @@ class TestCountingSession:
         assert direct.sample_many(5) == facade.sample_many(5)
 
     def test_describe(self, nfa):
-        session = CountingSession(epsilon=0.3, seed=9, backend="reference")
+        session = CountingSession(
+            epsilon=0.3, seed=9, policy=ExecutionPolicy(backend="reference")
+        )
         session.count(nfa, 4, method="exact")
         description = session.describe()
         assert description["epsilon"] == 0.3
@@ -669,6 +637,39 @@ class TestRequestFingerprint:
 
         return nfa_to_dict(no_consecutive_ones_nfa())
 
+    #: SHA-256 cache keys for no_consecutive_ones at n=6, seed 7.  They are
+    #: the serving cache's and the corpus fixtures' content addresses, so a
+    #: change here silently invalidates every stored answer.
+    GOLDEN = {
+        "default": "5d6f8e248786cbb4f54fa65132003d79564977622904772a0a28d9fe7eacb294",
+        "numpy": "8eb03ffea37059445a849d14c498e127b39408c263eda319c8f7ea120b892910",
+        "shards": "f534888b36b78bbc5b717b0aa909f0a66f64676a58f492a89e697e8f024673c8",
+        "montecarlo": "65448b2db6bc41eb389114716c976104c14ae34b8b1b9b06b8e9643eee0adafc",
+    }
+
+    @pytest.mark.parametrize(
+        "request_, golden",
+        [
+            (CountRequest(seed=7), "default"),
+            (CountRequest(seed=7, policy=ExecutionPolicy(backend="numpy")), "numpy"),
+            (CountRequest(seed=7, policy=ExecutionPolicy(shards=2)), "shards"),
+            (
+                CountRequest(seed=7, policy=ExecutionPolicy(store="windowed", window=8)),
+                "default",
+            ),
+            (CountRequest(seed=7, policy=ExecutionPolicy(workers=4)), "default"),
+            (
+                CountRequest(method="montecarlo", seed=7, options={"num_samples": 64}),
+                "montecarlo",
+            ),
+        ],
+        ids=["default", "numpy", "shards", "windowed", "workers", "montecarlo"],
+    )
+    def test_golden_digests(self, request_, golden):
+        from repro.counting.api import request_fingerprint
+
+        assert request_fingerprint(self._document(), 6, request_) == self.GOLDEN[golden]
+
     def test_stable_across_calls(self):
         from repro.counting.api import request_fingerprint
 
@@ -696,11 +697,11 @@ class TestRequestFingerprint:
             (CountRequest(seed=3), CountRequest(seed=4)),
             (
                 CountRequest(seed=3),
-                CountRequest(seed=3, backend="reference"),
+                CountRequest(seed=3, policy=ExecutionPolicy(backend="reference")),
             ),
             (
                 CountRequest(seed=3),
-                CountRequest(seed=3, options={"shards": 2}),
+                CountRequest(seed=3, policy=ExecutionPolicy(shards=2)),
             ),
         ],
         ids=["method", "epsilon", "delta", "seed", "backend", "shards"],
@@ -729,8 +730,8 @@ class TestRequestFingerprint:
         document = self._document()
         base = request_fingerprint(document, 6, CountRequest(seed=3))
         for variant in (
-            CountRequest(seed=3, workers=4),
-            CountRequest(seed=3, use_engine_cache=False),
+            CountRequest(seed=3, policy=ExecutionPolicy(workers=4)),
+            CountRequest(seed=3, policy=ExecutionPolicy(use_engine_cache=False)),
         ):
             assert request_fingerprint(document, 6, variant) == base
 

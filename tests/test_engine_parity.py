@@ -34,8 +34,10 @@ from repro.automata.engine import (
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nfa, random_nonempty_nfa
 from repro.automata.unroll import ReachabilityCache, UnrolledAutomaton
+from repro.counting.api import count
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.uniform import UniformWordSampler
 
 #: Seeds for the random-NFA sweep (~200 automata overall; see the fixtures).
@@ -312,18 +314,18 @@ class TestAlgorithmParity:
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_montecarlo_and_bruteforce_backend_agreement(self, backend):
-        from repro.counting.bruteforce import count_bruteforce
-        from repro.counting.montecarlo import count_montecarlo
-
+        fast, reference = ExecutionPolicy(backend=backend), ExecutionPolicy(backend="reference")
         for seed in range(112, 118):
             nfa = _random_instance(seed)
-            assert count_bruteforce(nfa, 7, backend=backend) == count_bruteforce(
-                nfa, 7, backend="reference"
-            )
-            mc_fast = count_montecarlo(nfa, 7, num_samples=400, seed=5, backend=backend)
-            mc_ref = count_montecarlo(
-                nfa, 7, num_samples=400, seed=5, backend="reference"
-            )
+            assert count(nfa, 7, method="bruteforce", policy=fast).raw == count(
+                nfa, 7, method="bruteforce", policy=reference
+            ).raw
+            mc_fast = count(
+                nfa, 7, method="montecarlo", num_samples=400, seed=5, policy=fast
+            ).raw
+            mc_ref = count(
+                nfa, 7, method="montecarlo", num_samples=400, seed=5, policy=reference
+            ).raw
             assert mc_fast.estimate == mc_ref.estimate
             assert mc_fast.hits == mc_ref.hits
 

@@ -16,7 +16,7 @@ from repro.automata.exact import (
     language_density,
     slice_profile,
 )
-from repro.counting.bruteforce import count_bruteforce
+from repro.counting.api import count
 
 
 def _fibonacci(index: int) -> int:
@@ -79,7 +79,7 @@ class TestCrossChecks:
     @pytest.mark.parametrize("length", [0, 1, 4, 7])
     def test_subset_dp_matches_bruteforce(self, builder, length):
         nfa = builder()
-        assert count_exact(nfa, length) == count_bruteforce(nfa, length)
+        assert count_exact(nfa, length) == count(nfa, length, method="bruteforce").raw
 
     @pytest.mark.parametrize(
         "builder",

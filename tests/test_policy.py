@@ -3,16 +3,14 @@
 Pins the contracts behind the capability-negotiated API redesign:
 
 * :class:`~repro.counting.policy.ExecutionPolicy` — validation, the
-  defaults-omitted option emission that keeps the policy spelling
-  fingerprint-neutral, and the ``CountRequest`` round trip;
-* the deprecation shims: the flat execution kwargs on :func:`repro.count`
-  and :class:`~repro.counting.api.CountingSession` keep working but warn,
-  and the legacy ``supports_workers=`` registration flag maps onto
-  :class:`~repro.counting.policy.MethodCapabilities`;
-* the method registry's declared capabilities (which dispatch reads
-  instead of ``getattr`` probes);
-* the removed ``kernel`` knob and ``"auto"`` backend, which must fail
-  inside the ``ReproError`` hierarchy before any counting work starts.
+  defaults-omitted option emission that keeps a default policy
+  fingerprint-neutral, and ``CountRequest.policy`` as the only place the
+  execution knobs live;
+* how a session's pinned policy flows into (and degrades for) requests;
+* the method registry's declared capabilities (which dispatch reads);
+* removed spellings — the ``kernel`` knob, the ``"auto"`` backend and the
+  flat execution kwargs — which must fail inside the ``ReproError``
+  hierarchy before any counting work starts.
 """
 
 from __future__ import annotations
@@ -22,6 +20,17 @@ import warnings
 import pytest
 
 import repro.counting.api as api_module
+from repro.applications import (
+    GraphDatabase,
+    LayeredProbabilisticGraph,
+    PathQuery,
+    ProbabilisticDatabase,
+    RegularPathQuery,
+    RPQCounter,
+    estimate_leakage_bits,
+    evaluate_path_query,
+    homomorphism_probability,
+)
 from repro.automata import families
 from repro.counting.api import (
     METHOD_REGISTRY,
@@ -30,7 +39,6 @@ from repro.counting.api import (
     CountRequest,
     canonical_request_knobs,
     count,
-    register_method,
     request_fingerprint,
 )
 from repro.counting.policy import (
@@ -38,7 +46,7 @@ from repro.counting.policy import (
     ExecutionPolicy,
     MethodCapabilities,
 )
-from repro.errors import CountingMethodError, ParameterError
+from repro.errors import CountingMethodError, ParameterError, ReproError
 
 
 class TestExecutionPolicyValidation:
@@ -107,25 +115,8 @@ class TestExecutionPolicyValidation:
 
 
 class TestPolicyRequestRoundTrip:
-    def test_policy_and_flat_spellings_denote_equal_requests(self):
-        flat = CountRequest(
-            method="fpras",
-            seed=7,
-            backend="bitset",
-            workers=2,
-            options={"store": "windowed"},
-        )
-        styled = CountRequest(
-            method="fpras",
-            seed=7,
-            policy=ExecutionPolicy(backend="bitset", workers=2, store="windowed"),
-        )
-        assert styled == flat
-        assert styled.policy is None  # consumed during normalisation
-
     def test_fingerprint_neutrality(self):
         nfa_doc = {"states": ["a"], "initial": "a", "transitions": [], "accepting": ["a"]}
-        flat = CountRequest(method="fpras", seed=3, backend="bitset")
         styled = CountRequest(
             method="fpras", seed=3, policy=ExecutionPolicy(backend="bitset")
         )
@@ -134,69 +125,36 @@ class TestPolicyRequestRoundTrip:
             seed=3,
             policy=ExecutionPolicy(backend="bitset", store="windowed"),
         )
-        assert canonical_request_knobs(styled, 6) == canonical_request_knobs(flat, 6)
+        parallel = CountRequest(
+            method="fpras",
+            seed=3,
+            policy=ExecutionPolicy(backend="bitset", workers=4, use_engine_cache=False),
+        )
+        assert canonical_request_knobs(windowed, 6) == canonical_request_knobs(styled, 6)
         fingerprints = {
             request_fingerprint(nfa_doc, 6, request)
-            for request in (flat, styled, windowed)
+            for request in (styled, windowed, parallel)
         }
-        assert len(fingerprints) == 1  # the store is result-neutral by contract
-
-    def test_round_trip_from_request(self):
-        policy = ExecutionPolicy(
-            backend="numpy", workers=3, shards=2, store="windowed", window=2
-        )
-        request = CountRequest(method="fpras", policy=policy)
-        assert ExecutionPolicy.from_request(request) == policy
-        assert request.execution_policy() == policy
-
-    def test_conflicting_flat_knobs_rejected(self):
-        with pytest.raises(ParameterError):
-            CountRequest(
-                method="fpras",
-                backend="bitset",
-                policy=ExecutionPolicy(backend="numpy"),
-            )
-        with pytest.raises(ParameterError):
-            CountRequest(
-                method="fpras",
-                options={"store": "windowed"},
-                policy=ExecutionPolicy(),
-            )
+        assert len(fingerprints) == 1  # store and workers are result-neutral by contract
 
     def test_policy_must_be_a_policy(self):
         with pytest.raises(ParameterError):
             CountRequest(method="fpras", policy={"backend": "bitset"})
 
+    def test_default_policy_is_the_field_default(self):
+        assert CountRequest().policy == ExecutionPolicy()
 
-class TestDeprecationShims:
+    @pytest.mark.parametrize("name", POLICY_OPTION_NAMES)
+    def test_policy_knobs_rejected_as_options(self, name):
+        value = {"shards": 2, "store": "windowed", "window": 8}[name]
+        with pytest.raises(ParameterError, match="policy="):
+            CountRequest(method="fpras", options={name: value})
+
+
+class TestSessionPolicy:
     @pytest.fixture()
     def parity_nfa_2(self):
         return families.parity_nfa(2)
-
-    def test_flat_kwargs_warn_on_count(self, parity_nfa_2):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            count(parity_nfa_2, 4, method="exact", backend="bitset")
-
-    def test_flat_kwargs_warn_on_session(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            CountingSession(seed=1, workers=2)
-
-    def test_policy_spelling_is_silent(self, parity_nfa_2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            report = count(
-                parity_nfa_2,
-                4,
-                method="exact",
-                policy=ExecutionPolicy(backend="bitset"),
-            )
-            CountingSession(seed=1, policy=ExecutionPolicy(workers=2))
-        assert report.raw == count(parity_nfa_2, 4, method="exact").raw
-
-    def test_default_flat_values_do_not_warn(self, parity_nfa_2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            count(parity_nfa_2, 4, method="exact")
 
     def test_session_policy_flows_into_requests(self, parity_nfa_2):
         session = CountingSession(
@@ -205,11 +163,98 @@ class TestDeprecationShims:
             policy=ExecutionPolicy(backend="bitset", store="windowed"),
         )
         pinned = session.request()
-        assert pinned.backend == "bitset"
-        assert pinned.option("store") == "windowed"
-        # A method that does not accept the store option drops it.
-        assert "store" not in session.request(method="exact").options
+        assert pinned.policy.backend == "bitset"
+        assert pinned.policy.store == "windowed"
+        # A method that does not accept the store knob gets it reset.
+        assert session.request(method="exact").policy.store == "dict"
         assert session.count(parity_nfa_2, 4, method="exact").raw > 0
+
+    def test_pinned_knobs_degrade_per_method(self):
+        policy = ExecutionPolicy(backend="bitset", workers=2, shards=2, store="windowed")
+        session = CountingSession(seed=5, policy=policy)
+        assert session.request("fpras").policy == policy
+        assert session.request("montecarlo").policy == ExecutionPolicy(
+            backend="bitset", workers=2
+        )
+        assert session.request("acjr").policy == ExecutionPolicy(backend="bitset")
+
+    def test_per_call_policy_is_verbatim_and_strict(self, parity_nfa_2):
+        session = CountingSession(seed=5, policy=ExecutionPolicy(workers=2))
+        explicit = ExecutionPolicy(workers=2)
+        assert session.request("exact", policy=explicit).policy is explicit
+        with pytest.raises(CountingMethodError, match="workers=2"):
+            session.count(parity_nfa_2, 4, method="exact", policy=explicit)
+        with pytest.raises(CountingMethodError, match="shards"):
+            session.count(
+                parity_nfa_2, 4, method="montecarlo", policy=ExecutionPolicy(shards=2)
+            )
+        with pytest.raises(CountingMethodError, match="store"):
+            session.count(
+                parity_nfa_2, 4, method="acjr", policy=ExecutionPolicy(store="windowed")
+            )
+
+    def test_pinned_policy_must_suit_the_pinned_method(self):
+        with pytest.raises(CountingMethodError, match="shards"):
+            CountingSession(method="acjr", policy=ExecutionPolicy(shards=2))
+
+
+def _rpq_estimate(policy):
+    database = GraphDatabase.from_edges(
+        [
+            ("alice", "knows", "bob"),
+            ("alice", "knows", "carol"),
+            ("bob", "knows", "carol"),
+            ("bob", "worksAt", "acme"),
+            ("carol", "worksAt", "acme"),
+        ]
+    )
+    query = RegularPathQuery("alice", "(<knows>)*<worksAt>", "acme", max_length=4)
+    return RPQCounter(database, query).count_report(seed=9, policy=policy).estimate
+
+
+def _leakage_estimate(policy):
+    return estimate_leakage_bits(
+        families.substring_nfa("101"), 7, seed=9, policy=policy
+    ).leakage_bits
+
+
+def _pqe_estimate(policy):
+    database = ProbabilisticDatabase()
+    database.add_fact("R", "a", "b", 0.5)
+    database.add_fact("R", "a", "c", 0.75)
+    database.add_fact("S", "b", "z", 0.5)
+    database.add_fact("S", "c", "z", 0.25)
+    return evaluate_path_query(
+        database, PathQuery(("R", "S")), seed=9, policy=policy
+    ).probability
+
+
+def _homomorphism_estimate(policy):
+    graph = LayeredProbabilisticGraph()
+    graph.add_layer(["s"])
+    graph.add_layer(["m1", "m2"])
+    graph.add_layer(["t"])
+    graph.add_edge(0, "s", "m1", 0.5)
+    graph.add_edge(0, "s", "m2", 0.5)
+    graph.add_edge(1, "m1", "t", 0.5)
+    graph.add_edge(1, "m2", "t", 0.75)
+    return homomorphism_probability(graph, seed=9, policy=policy).probability
+
+
+class TestApplicationPolicies:
+    """Every application entry point takes one ``policy`` and threads it to
+    the counting run without going through any deprecated spelling."""
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [_rpq_estimate, _leakage_estimate, _pqe_estimate, _homomorphism_estimate],
+        ids=["rpq", "leakage", "pqe", "homomorphism"],
+    )
+    def test_policy_matches_default_estimate(self, estimate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            via_policy = estimate(ExecutionPolicy(backend="reference"))
+        assert via_policy == estimate(None)
 
 
 class TestMethodCapabilities:
@@ -243,45 +288,11 @@ class TestMethodCapabilities:
         montecarlo = METHOD_REGISTRY["montecarlo"].capabilities
         assert montecarlo.workers and montecarlo.progress
 
-    def test_supports_workers_compat_property(self):
-        assert METHOD_REGISTRY["fpras"].supports_workers is True
-        assert METHOD_REGISTRY["exact"].supports_workers is False
-
-    def test_legacy_registration_flag_maps_to_capabilities(self):
-        name = "policy-test-legacy"
-        try:
-            with pytest.warns(DeprecationWarning, match="supports_workers"):
-
-                @register_method(name, summary="legacy shim", supports_workers=True)
-                def runner(nfa, length, request):  # pragma: no cover - never run
-                    raise AssertionError
-
-            assert METHOD_REGISTRY[name].capabilities.workers is True
-        finally:
-            METHOD_REGISTRY.pop(name, None)
-
-    def test_legacy_flag_contradicting_capabilities_rejected(self):
-        name = "policy-test-contradiction"
-        try:
-            with pytest.raises(ParameterError), warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-
-                @register_method(
-                    name,
-                    summary="contradiction",
-                    capabilities=MethodCapabilities(workers=False),
-                    supports_workers=True,
-                )
-                def runner(nfa, length, request):  # pragma: no cover - never run
-                    raise AssertionError
-
-        finally:
-            METHOD_REGISTRY.pop(name, None)
-
 
 class TestRemovedSpellings:
-    """The ``kernel`` knob and the ``"auto"`` backend are gone: every old
-    spelling fails inside the ``ReproError`` hierarchy before a run starts."""
+    """The ``kernel`` knob, the ``"auto"`` backend and the flat execution
+    kwargs are gone: every old spelling fails inside the ``ReproError``
+    hierarchy before a run starts."""
 
     @pytest.fixture()
     def no_counting(self, monkeypatch):
@@ -291,10 +302,27 @@ class TestRemovedSpellings:
         monkeypatch.setattr(api_module, "fpras_counter", refuse)
 
     def test_count_with_auto_backend_fails_early(self, no_counting):
-        with pytest.raises(ParameterError, match="'auto'"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            count(families.parity_nfa(2), 4, backend="auto", seed=1)
+        with pytest.raises(ParameterError, match="'auto'"):
+            count(families.parity_nfa(2), 4, policy=ExecutionPolicy(backend="auto"), seed=1)
 
     def test_count_with_kernel_option_fails_early(self, no_counting):
         with pytest.raises(CountingMethodError, match="kernel"):
             count(families.parity_nfa(2), 4, seed=1, kernel="off")
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"backend": "bitset"},
+            {"use_engine_cache": False},
+            {"workers": 2},
+            {"shards": 2},
+            {"store": "windowed"},
+        ],
+    )
+    def test_flat_execution_kwargs_fail_early(self, no_counting, knob):
+        with pytest.raises(ReproError, match=next(iter(knob))):
+            count(families.parity_nfa(2), 4, seed=1, **knob)
+
+    def test_session_with_flat_backend_fails_early(self):
+        with pytest.raises(CountingMethodError, match="backend"):
+            CountingSession(seed=1, backend="bitset")

@@ -18,7 +18,7 @@ from repro.automata.exact import count_exact, count_exact_via_dfa, count_per_sta
 from repro.automata.nfa import NFA
 from repro.automata.operations import intersection, union
 from repro.automata.random_gen import random_nfa
-from repro.counting.bruteforce import count_bruteforce
+from repro.counting.api import count
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.union import SetAccess, approximate_union
 
@@ -46,7 +46,7 @@ def _draw_nfa(seed: int, size: int, density: float = 0.35) -> NFA:
 @given(seed=nfa_seeds, size=small_sizes, length=small_lengths)
 def test_subset_dp_agrees_with_bruteforce(seed, size, length):
     nfa = _draw_nfa(seed, size)
-    assert count_exact(nfa, length) == count_bruteforce(nfa, length)
+    assert count_exact(nfa, length) == count(nfa, length, method="bruteforce").raw
 
 
 @COMMON_SETTINGS

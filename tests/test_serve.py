@@ -23,6 +23,7 @@ import repro
 from repro.automata.engine import acquire_engine
 from repro.automata.families import divisibility_nfa, no_consecutive_ones_nfa
 from repro.automata.serialization import nfa_to_dict
+from repro.counting.policy import ExecutionPolicy
 from repro.serve import BoundedRequestQueue, CountingServer, ResultCache
 
 
@@ -82,7 +83,8 @@ class TestServedParity:
         )
         status, served = _post(server, body)
         direct = repro.count(
-            nfa, 8, method="fpras", epsilon=0.5, seed=11, shards=2
+            nfa, 8, method="fpras", epsilon=0.5, seed=11,
+            policy=ExecutionPolicy(shards=2),
         )
         assert status == 200
         assert served["estimate"] == direct.estimate
@@ -119,7 +121,8 @@ class TestServedParity:
         )
         status, served = _post(server, body)
         direct = repro.count(
-            nfa, 8, method="fpras", epsilon=0.5, seed=23, shards=2
+            nfa, 8, method="fpras", epsilon=0.5, seed=23,
+            policy=ExecutionPolicy(shards=2),
         )
         assert status == 200
         assert served["estimate"] == direct.estimate
@@ -174,6 +177,16 @@ class TestResultCacheOverHTTP:
         _, second = _post(server, dict(body, workers=2))
         assert second["served"]["cached"] is True
         assert second["estimate"] == first["estimate"]
+
+    def test_default_policy_options_share_the_default_key(self, server):
+        # options.shards/store/window form the call's ExecutionPolicy, so
+        # spelling a default value explicitly lands on the default line.
+        nfa = no_consecutive_ones_nfa()
+        body = _body(nfa, 6, method="fpras", epsilon=0.5, seed=9)
+        _, first = _post(server, body)
+        _, second = _post(server, dict(body, options={"shards": 1, "store": "dict"}))
+        assert second["served"]["cached"] is True
+        assert second["served"]["fingerprint"] == first["served"]["fingerprint"]
 
     @pytest.mark.parametrize(
         "variation",

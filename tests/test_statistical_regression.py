@@ -26,8 +26,8 @@ import pytest
 
 from repro.automata import families
 from repro.automata.exact import enumerate_slice
-from repro.counting.bruteforce import count_bruteforce
-from repro.counting.fpras import NFACounter, count_nfa
+from repro.counting.api import count
+from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
 from repro.counting.uniform import UniformWordSampler
 
@@ -108,11 +108,11 @@ class TestApproxCountAccuracy:
         ],
     )
     def test_relative_error_against_bruteforce(self, name, nfa, length):
-        exact = count_bruteforce(nfa, length)
+        exact = count(nfa, length, method="bruteforce").raw
         assert exact > 0
         errors = []
         for seed in range(5):
-            result = count_nfa(nfa, length, epsilon=0.3, delta=0.1, seed=seed)
+            result = count(nfa, length, epsilon=0.3, delta=0.1, seed=seed).raw
             errors.append(result.relative_error(exact))
         # Individual runs stay within a loose multiple of epsilon (the scaled
         # constants weaken the concentration bound); the mean is tighter.
@@ -129,7 +129,7 @@ class TestApproxCountAccuracy:
             for word in _all_words(nfa.alphabet, length)
             if nfa.accepts(word)
         )
-        assert count_bruteforce(nfa, length) == expected
+        assert count(nfa, length, method="bruteforce").raw == expected
 
 
 def _all_words(alphabet, length):
