@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.automata.nfa import NFA, State, Word
 from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.params import acjr_samples_per_state
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import EmptyLanguageError, ParameterError
 
 StateLevel = Tuple[State, int]
@@ -45,11 +46,17 @@ StateLevel = Tuple[State, int]
 class ACJRParameters:
     """Accuracy targets and scaled sample caps for the ACJR baseline.
 
-    ``backend`` and ``use_engine_cache`` mirror the same knobs on
-    :class:`~repro.counting.params.FPRASParameters`: they select the NFA
-    simulation engine and whether it is acquired from the shared
-    :class:`~repro.automata.engine.EngineRegistry`.  Results are identical
-    for every combination; only speed differs.
+    ``policy`` says how the run executes, as on
+    :class:`~repro.counting.params.FPRASParameters`; the baseline reads
+    only its ``backend`` and ``use_engine_cache``.  Results are identical
+    for every policy; only speed differs.
+
+    >>> ACJRParameters(policy=ExecutionPolicy(backend="reference")).policy.backend
+    'reference'
+    >>> ACJRParameters(sample_cap="96")
+    Traceback (most recent call last):
+        ...
+    repro.errors.ParameterError: sample_cap must be an integer >= 2, got '96'
     """
 
     epsilon: float = 0.5
@@ -57,16 +64,21 @@ class ACJRParameters:
     sample_cap: int = 96
     attempt_factor: float = 6.0
     seed: Optional[int] = None
-    backend: Optional[str] = None
-    use_engine_cache: bool = True
+    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
-        if self.sample_cap < 2:
-            raise ParameterError("sample_cap must be at least 2")
+        cap = self.sample_cap
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
+            raise ParameterError(f"sample_cap must be an integer >= 2, got {cap!r}")
+        factor = self.attempt_factor
+        if not isinstance(factor, (int, float)) or not 1.0 <= factor < math.inf:
+            raise ParameterError(
+                f"attempt_factor must be a finite number >= 1, got {factor!r}"
+            )
 
     def samples_per_state_paper(self, num_states: int, length: int) -> float:
         """The configured (un-scaled) ACJR sample count ``κ^7``."""
@@ -116,11 +128,12 @@ class ACJRCounter:
         self.length = length
         self.parameters = parameters if parameters is not None else ACJRParameters()
         self.rng = rng if rng is not None else random.Random(self.parameters.seed)
+        policy = self.parameters.policy
         self.unroll = UnrolledAutomaton(
             nfa,
             length,
-            backend=self.parameters.backend,
-            use_engine_cache=self.parameters.use_engine_cache,
+            backend=policy.backend,
+            use_engine_cache=policy.use_engine_cache,
         )
         self.estimates: Dict[StateLevel, float] = {}
         self.samples: Dict[StateLevel, List[Word]] = {}

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -144,6 +145,8 @@ set them on policy=ExecutionPolicy(...)
             raise ParameterError("method must be a non-empty string")
         if not isinstance(self.epsilon, (int, float)) or not self.epsilon > 0:
             raise ParameterError("epsilon must be positive")
+        if not math.isfinite(self.epsilon):
+            raise ParameterError("epsilon must be finite")
         if not isinstance(self.delta, (int, float)) or not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
         if self.seed is not None and not isinstance(self.seed, (int, random.Random)):
@@ -636,16 +639,15 @@ def resolve_method(name: str) -> CounterMethod:
 # ----------------------------------------------------------------------
 def fpras_parameters(request: CountRequest) -> FPRASParameters:
     """The :class:`FPRASParameters` a request denotes (shared with the sampler)."""
-    scale = request.option("scale")
+    scale = request.option("scale", ParameterScale.practical())
+    if not isinstance(scale, ParameterScale):
+        raise ParameterError(f"scale must be a ParameterScale, got {scale!r}")
     return FPRASParameters(
         epsilon=request.epsilon,
         delta=request.delta,
-        scale=scale if scale is not None else ParameterScale.practical(),
+        scale=scale,
         seed=request.integer_seed(),
-        backend=request.policy.backend,
-        use_engine_cache=request.policy.use_engine_cache,
-        store=request.policy.store,
-        window=request.policy.window,
+        policy=request.policy,
         details=request.option("details", "full"),
     )
 
@@ -654,6 +656,13 @@ def fpras_counter(nfa: NFA, length: int, request: CountRequest) -> NFACounter:
     """An unrun :class:`NFACounter` for the request (also used by the sampler)."""
     rng = request.seed if isinstance(request.seed, random.Random) else None
     return NFACounter(nfa, length, fpras_parameters(request), rng=rng)
+
+
+def _integer_option(name: str, value: object, minimum: int) -> int:
+    """``value`` if it is an integer of at least ``minimum`` (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _engine_counter_deltas(engine, base: Dict[str, int], from_cache: bool) -> Dict[str, int]:
@@ -693,13 +702,7 @@ def _run_fpras(
         from repro.counting.parallel import run_fpras_sharded
 
         result, parallel_details = run_fpras_sharded(
-            nfa,
-            length,
-            fpras_parameters(request),
-            shards=policy.shards,
-            workers=policy.workers,
-            seed=request.seed,
-            progress=progress,
+            nfa, length, fpras_parameters(request), seed=request.seed, progress=progress
         )
     else:
         result = fpras_counter(nfa, length, request).run(progress=progress)
@@ -745,8 +748,7 @@ def _run_acjr(nfa: NFA, length: int, request: CountRequest) -> CountReport:
         sample_cap=request.option("sample_cap", 96),
         attempt_factor=request.option("attempt_factor", 6.0),
         seed=request.integer_seed(),
-        backend=request.policy.backend,
-        use_engine_cache=request.policy.use_engine_cache,
+        policy=request.policy,
     )
     rng = request.seed if isinstance(request.seed, random.Random) else None
     counter = ACJRCounter(nfa, length, parameters, rng=rng)
@@ -794,7 +796,9 @@ def _run_montecarlo(
     bit-identical to the serial loop; only engine batching counters chunk
     differently.
     """
-    num_samples = request.option("num_samples", 10_000)
+    num_samples = _integer_option(
+        "num_samples", request.option("num_samples", 10_000), 1
+    )
     rng = request.rng()
     policy = request.policy
     if policy.workers != 1 or progress is not None:
@@ -806,9 +810,7 @@ def _run_montecarlo(
             length,
             num_samples,
             rng,
-            backend=policy.backend,
-            use_engine_cache=policy.use_engine_cache,
-            workers=policy.workers,
+            policy=policy,
             progress=progress,
         )
         elapsed = time.perf_counter() - started
@@ -863,6 +865,8 @@ def _run_montecarlo(
 def _run_bruteforce(nfa: NFA, length: int, request: CountRequest) -> CountReport:
     """Enumerate the slice exactly, reporting limit info and counter deltas."""
     limit = request.options.get("limit", DEFAULT_ENUMERATION_LIMIT)
+    if limit is not None:
+        _integer_option("limit", limit, 0)
     engine, from_cache = acquire_engine(
         nfa, request.policy.backend, use_cache=request.policy.use_engine_cache
     )

@@ -135,8 +135,9 @@ class NFACounter:
     The instance keeps its internal ``N`` / ``S`` tables after :meth:`run`
     so that :class:`repro.counting.uniform.UniformWordSampler` can reuse them
     to generate words without re-running the dynamic program.  All hot loops
-    run on the engine selected by ``parameters.backend``, acquired from the
-    shared engine registry unless ``parameters.use_engine_cache`` is off;
+    run on the engine selected by ``parameters.policy.backend``, acquired
+    from the shared engine registry unless ``policy.use_engine_cache`` is
+    off, and the tables live in the store ``policy.store`` selects;
     AppUnion membership questions are answered through the batched
     reachability API (see
     :meth:`repro.automata.unroll.UnrolledAutomaton.first_containing_batch`).
@@ -156,13 +157,14 @@ class NFACounter:
         self.parameters = parameters if parameters is not None else FPRASParameters()
         seed = self.parameters.seed
         self.rng = rng if rng is not None else random.Random(seed)
-        if self.parameters.store == "windowed":
+        policy = self.parameters.policy
+        if policy.store == "windowed":
             # Windowed runs bound the reachability cache too (otherwise its
             # per-prefix memoisation is O(n^2) and would dominate exactly
             # the long-word runs the window exists for).  Membership answers
             # are unchanged — only engine-level diagnostics shift, which are
             # outside the parity contract like the store counters.
-            cache_max_words: Optional[int] = max(64, self.parameters.window * 16)
+            cache_max_words: Optional[int] = max(64, policy.window * 16)
             cache_prefix_limit: Optional[int] = 64
             cache_max_symbols: Optional[int] = 65536
         else:
@@ -172,8 +174,8 @@ class NFACounter:
         self.unroll = UnrolledAutomaton(
             nfa,
             length,
-            backend=self.parameters.backend,
-            use_engine_cache=self.parameters.use_engine_cache,
+            backend=policy.backend,
+            use_engine_cache=policy.use_engine_cache,
             cache_max_words=cache_max_words,
             cache_prefix_limit=cache_prefix_limit,
             cache_max_symbols=cache_max_symbols,
@@ -184,7 +186,7 @@ class NFACounter:
         # sharded executor — working against ``counter.estimates`` /
         # ``counter.samples`` exactly as before.  For the default DictStore
         # the views *are* plain dicts.
-        self.store = create_store(self.parameters.store, self.parameters.window)
+        self.store = create_store(policy.store, policy.window)
         self.estimates = self.store.estimates
         self.samples = self.store.samples
         self._sample_counts = self.store.sample_counts

@@ -4,10 +4,9 @@ The FPRAS and the Monte-Carlo baseline both spend their time in loops of
 independent trials — per-state AppUnion/sampling batches for the FPRAS,
 word-acceptance tests for Monte-Carlo — so both can be split across a
 :mod:`multiprocessing` process pool.  This module is that execution layer,
-surfaced through the ``workers`` knob on
-:class:`~repro.counting.api.CountRequest` /
-:class:`~repro.counting.api.CountingSession` / ``repro.count`` and the CLI's
-``--workers`` flag.
+driven by the ``workers`` and ``shards`` fields of
+:class:`~repro.counting.policy.ExecutionPolicy` (the CLI's ``--workers`` /
+``--shards`` flags).
 
 Design invariants
 -----------------
@@ -32,7 +31,7 @@ Design invariants
 
 Sharding the two methods
 ------------------------
-**FPRAS** (``shards`` per-method option, default 1): the dynamic program is
+**FPRAS** (``policy.shards``, default 1): the dynamic program is
 level-synchronous — states at level ``l`` depend only on the merged tables
 of levels ``< l`` — so the sorted live states of each level are dealt
 round-robin into ``shards`` groups, each processed with its own derived
@@ -96,6 +95,7 @@ from repro.automata.nfa import NFA
 from repro.automata.serialization import nfa_from_dict, nfa_to_dict
 from repro.counting.fpras import CountResult, FPRASParameters, NFACounter
 from repro.counting.montecarlo import MonteCarloEstimate
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import (
     AutomatonError,
     CountingMethodError,
@@ -280,11 +280,11 @@ def _worker_main(connection) -> None:
                     )
                     connection.send(("ok", None))
                 elif kind == "init-mc":
-                    document, backend, use_engine_cache = message[1:]
+                    document, policy = message[1:]
                     engine, _ = acquire_engine(
                         nfa_from_dict(document),
-                        backend,
-                        use_cache=use_engine_cache,
+                        policy.backend,
+                        use_cache=policy.use_engine_cache,
                     )
                     connection.send(("ok", None))
                 elif kind == "sync":
@@ -718,16 +718,15 @@ def run_fpras_sharded(
     length: int,
     parameters: FPRASParameters,
     *,
-    shards: int,
-    workers: int,
     seed: object,
     pool_manager: Optional[WorkerPoolManager] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> Tuple[CountResult, Dict[str, object]]:
     """Execute the FPRAS under a ``shards``-way plan with ``workers`` processes.
 
-    Returns the :class:`~repro.counting.fpras.CountResult` plus the extra
-    report details (``workers``, ``shards``, seed-derivation record).  The
+    ``shards`` and ``workers`` come from ``parameters.policy``.  Returns
+    the :class:`~repro.counting.fpras.CountResult` plus the extra report
+    details (``workers``, ``shards``, seed-derivation record).  The
     result is bit-identical for every ``workers`` value, because the plan —
     shard membership and every substream seed — depends only on
     ``(seed, shards)`` and the workload.
@@ -739,8 +738,8 @@ def run_fpras_sharded(
     ``{"method", "level", "levels", "live_states"}`` — it runs on the
     coordinator thread and cannot affect the estimate.
     """
-    shards = validate_shards(shards)
-    workers = resolve_workers(workers)
+    shards = parameters.policy.shards
+    workers = resolve_workers(parameters.policy.workers)
     started = time.perf_counter()
 
     if shards == 1:
@@ -926,9 +925,7 @@ def run_montecarlo_sharded(
     num_samples: int,
     rng: random.Random,
     *,
-    backend: Optional[str],
-    use_engine_cache: bool,
-    workers: int,
+    policy: ExecutionPolicy,
     pool_manager: Optional[WorkerPoolManager] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> Tuple[MonteCarloEstimate, Dict[str, int], Dict[str, object]]:
@@ -939,7 +936,8 @@ def run_montecarlo_sharded(
     :data:`MC_CHUNK_WORDS`-word chunks, so the estimate equals serial
     Monte-Carlo for any worker count while peak memory stays at one wave
     of words.  Returns ``(estimate, merged engine-counter deltas,
-    details)``.
+    details)``.  ``policy`` supplies the backend, the engine-cache switch
+    and the worker count.
 
     ``pool_manager`` (or an installed process-wide manager) reuses
     persistent pools across calls.  ``progress`` is called after every wave
@@ -951,7 +949,7 @@ def run_montecarlo_sharded(
         raise ReproError("length must be non-negative")
     if num_samples <= 0:
         raise ReproError("num_samples must be positive")
-    workers = resolve_workers(workers)
+    workers = resolve_workers(policy.workers)
     alphabet = list(nfa.alphabet)
     total_words = len(alphabet) ** length
     total_chunks = -(-num_samples // MC_CHUNK_WORDS)
@@ -973,9 +971,9 @@ def run_montecarlo_sharded(
     hits = 0
     if pool_size > 1:
         _, document = _roundtrip_nfa(nfa)
-        backend_name = resolve_backend(backend)
+        backend_name = resolve_backend(policy.backend)
         pool, manager = _acquire_pool(
-            pool_size, ("init-mc", document, backend, use_engine_cache), pool_manager
+            pool_size, ("init-mc", document, policy), pool_manager
         )
         failed = False
         try:
@@ -1001,7 +999,9 @@ def run_montecarlo_sharded(
             _finish_pool(pool, manager, failed)
         counters["engine_cache_hit"] = 0
     else:
-        engine, from_cache = acquire_engine(nfa, backend, use_cache=use_engine_cache)
+        engine, from_cache = acquire_engine(
+            nfa, policy.backend, use_cache=policy.use_engine_cache
+        )
         backend_name = engine.name
         base = dict(engine.counters())
         remaining = num_samples

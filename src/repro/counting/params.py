@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.automata.engine import DEFAULT_BACKEND, available_backends
+from repro.counting.policy import ExecutionPolicy
 from repro.errors import ParameterError
 
 EULER = math.e
@@ -191,39 +191,14 @@ class FPRASParameters:
     The per-instance quantities (``beta``, ``eta``, ``ns`` …) depend on the
     automaton size ``m`` and length ``n`` and are exposed as methods.
 
-    ``backend`` selects the NFA simulation engine every hot loop runs on
-    (see :mod:`repro.automata.engine`): ``"bitset"`` (the default) packs
-    state sets into integer masks, ``"numpy"`` uses the vectorised block
-    representation built for automata with hundreds of states, and
-    ``"reference"`` keeps the frozenset semantics; ``None`` is normalised
-    to the default backend.  All backends are observationally identical
-    under a shared seed — the three-way parity suite enforces it — so the
-    choice only affects speed.
-
-    ``store`` selects the state-table layout the dynamic program fills
-    (see :mod:`repro.counting.store`): ``"dict"`` (the default) keeps every
-    level's tables resident — the historical behaviour, bit-identical by
-    construction — while ``"windowed"`` retains only ``window`` recent
-    levels of sample lists resident, spilling older levels to a compressed
-    temporary file and faulting them back on read.  Estimates, RNG streams
-    and the algorithm-level work counters are bit-identical across stores;
-    only memory (and wall time on deep cross-level reads) changes.
-
-    ``use_engine_cache`` controls whether the run acquires its engine from
-    the shared :class:`~repro.automata.engine.EngineRegistry` (the default;
-    repeated runs on the same automaton skip rebuilding transition tables)
-    or builds a private engine (the CLI's ``--no-engine-cache``).  Engine
-    sharing is observationally transparent for everything the estimator
-    computes: estimates, sampler draws and the representation-independent
-    work counters are bit-identical either way.  The one diagnostic that
-    may differ is ``engine_counters["decode_ops"]`` — a shared engine's
-    decode memo stays warm across runs, so later runs decode fewer fresh
-    sets (``decode_ops`` is representation-specific by design and excluded
-    from the locked-counter and parity suites for the same reason).
+    ``policy`` says how the run executes (engine backend, engine cache,
+    state-table store and window, workers and shards); see
+    :class:`~repro.counting.policy.ExecutionPolicy`, which validates it.
+    No policy changes an estimate under a shared seed.
 
     >>> parameters = FPRASParameters(epsilon=0.25, seed=7)
-    >>> parameters.backend
-    'bitset'
+    >>> parameters.policy.store
+    'dict'
     >>> parameters.ns(10, 50) <= parameters.scale.sample_cap
     True
     >>> parameters.ns_paper(10, 50) > 10**6  # the verbatim formula is huge
@@ -234,10 +209,7 @@ class FPRASParameters:
     delta: float = 0.1
     scale: ParameterScale = field(default_factory=ParameterScale.practical)
     seed: Optional[int] = None
-    backend: Optional[str] = None
-    use_engine_cache: bool = True
-    store: str = "dict"
-    window: int = 4
+    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     details: str = "full"
 
     def __post_init__(self) -> None:
@@ -245,20 +217,6 @@ class FPRASParameters:
             raise ParameterError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
-        if self.backend is None:
-            object.__setattr__(self, "backend", DEFAULT_BACKEND)
-        if self.backend not in available_backends():
-            raise ParameterError(
-                f"unknown simulation backend {self.backend!r}; "
-                f"available: {list(available_backends())}"
-            )
-        # Late import: repro.counting.store has no dependency back on this
-        # module's dataclasses, but keeping the import local avoids a cycle
-        # at package-import time.
-        from repro.counting.store import validate_store, validate_window
-
-        validate_store(self.store)
-        validate_window(self.window)
         if self.details not in ("full", "summary"):
             raise ParameterError(
                 f"details must be 'full' or 'summary', got {self.details!r}"
@@ -365,10 +323,6 @@ class FPRASParameters:
             "xns_paper": self.xns_paper(length, num_states),
             "xns_operational": self.xns(length, num_states),
             "scale_mode": self.scale.mode,
-            "backend": self.backend,
-            "engine_cache": self.use_engine_cache,
-            "store": self.store,
-            "window": self.window,
         }
 
 

@@ -8,8 +8,10 @@ This module holds that second half:
   executes (never *what* it computes: estimates are bit-identical across
   policies with the same seed, which is what the parity suites enforce).
   It is the only spelling of those knobs —
-  :class:`~repro.counting.api.CountRequest` carries one as its ``policy``
-  field, and :func:`repro.count`,
+  :class:`~repro.counting.api.CountRequest`,
+  :class:`~repro.counting.params.FPRASParameters` and
+  :class:`~repro.counting.acjr.ACJRParameters` carry one as their
+  ``policy`` field, and :func:`repro.count`,
   :class:`~repro.counting.api.CountingSession`, the CLI and the serving
   layer all build one.
 * :class:`MethodCapabilities` is the declarative record a registered
@@ -42,7 +44,9 @@ class ExecutionPolicy:
         Simulation-engine name (``None`` selects the default backend).
     use_engine_cache:
         Whether engines come from the shared
-        :class:`~repro.automata.engine.EngineRegistry`.
+        :class:`~repro.automata.engine.EngineRegistry`.  A shared engine
+        keeps its decode memo warm across runs, so only the
+        ``decode_ops`` diagnostic differs between the two settings.
     workers:
         Process count for the sharded executor (``1`` serial, ``0`` one
         per CPU).

@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.automata.nfa import NFA
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 
 #: Seed shared by the long-word benchmark entry points so their numbers are
 #: comparable across hosts and sessions.
@@ -165,10 +166,9 @@ def measure_fpras_memory(
         delta=delta,
         scale=long_word_scale(),
         seed=seed,
-        backend=backend,
-        use_engine_cache=False,
-        store=store,
-        window=window,
+        policy=ExecutionPolicy(
+            backend=backend, use_engine_cache=False, store=store, window=window
+        ),
         details="summary",
     )
     if probe == "tracemalloc":
@@ -194,7 +194,7 @@ def measure_fpras_memory(
         "n": n,
         "store": store,
         "window": window,
-        "backend": parameters.backend,
+        "backend": counter.unroll.backend,
         "probe": probe,
         "seconds": seconds,
         "peak_bytes": peak_bytes,

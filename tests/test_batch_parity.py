@@ -265,8 +265,7 @@ class TestUnionBatchEquivalence:
                 delta=0.2,
                 scale=ParameterScale.practical(sample_cap=6, union_trial_cap=10),
                 seed=seed,
-                backend=backend,
-                use_engine_cache=False,
+                policy=ExecutionPolicy(backend=backend, use_engine_cache=False),
             )
             results[backend] = NFACounter(nfa, 5, parameters).run()
         reference = results["reference"]
@@ -303,8 +302,7 @@ class TestUnionBatchEquivalence:
                 delta=0.2,
                 scale=ParameterScale.practical(sample_cap=6, union_trial_cap=10),
                 seed=seed,
-                backend=backend,
-                use_engine_cache=False,
+                policy=ExecutionPolicy(backend=backend, use_engine_cache=False),
             )
             results[backend] = NFACounter(nfa, 5, parameters).run()
         reference, observed = results["reference"], results["numpy"]

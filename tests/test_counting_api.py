@@ -19,6 +19,7 @@ import random
 import pytest
 
 import repro
+import repro.automata.engine as engine_module
 from repro.automata.engine import acquire_engine
 from repro.automata.exact import count_exact
 from repro.automata.families import all_words_nfa, no_consecutive_ones_nfa, substring_nfa
@@ -214,6 +215,35 @@ class TestErrorPaths:
     def test_invalid_request_fields(self, fields):
         with pytest.raises(ParameterError):
             CountRequest(**fields)
+
+    @pytest.mark.parametrize(
+        "method, knobs",
+        [
+            ("acjr", {"sample_cap": "96"}),
+            ("acjr", {"sample_cap": True}),
+            ("acjr", {"attempt_factor": float("nan")}),
+            ("acjr", {"epsilon": float("inf")}),
+            ("montecarlo", {"num_samples": "10"}),
+            ("montecarlo", {"num_samples": 2.5}),
+            ("montecarlo", {"num_samples": True}),
+            ("bruteforce", {"limit": "5"}),
+            ("bruteforce", {"limit": -1}),
+            ("fpras", {"scale": "practical"}),
+            ("fpras", {"epsilon": float("inf")}),
+        ],
+    )
+    def test_malformed_inputs_fail_before_counting(self, method, knobs, monkeypatch):
+        """Bad option values raise ParameterError before any engine is built."""
+
+        def _no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built for a malformed request")
+
+        monkeypatch.setattr(engine_module, "create_engine", _no_engine)
+        with pytest.raises(ParameterError):
+            repro.count(
+                no_consecutive_ones_nfa(), 6, seed=1, method=method,
+                policy=ExecutionPolicy(use_engine_cache=False), **knobs,
+            )
 
     def test_request_defaults_are_valid(self):
         request = CountRequest()

@@ -264,7 +264,7 @@ class TestAlgorithmParity:
             delta=0.2,
             scale=ParameterScale.practical(sample_cap=8, union_trial_cap=12),
             seed=seed,
-            backend=backend,
+            policy=ExecutionPolicy(backend=backend),
         )
         counter = NFACounter(nfa, length, parameters)
         result = counter.run()
@@ -304,7 +304,7 @@ class TestAlgorithmParity:
         draws = {}
         for backend in ("reference", *FAST_BACKENDS):
             parameters = FPRASParameters(
-                epsilon=0.4, delta=0.2, seed=31, backend=backend
+                epsilon=0.4, delta=0.2, seed=31, policy=ExecutionPolicy(backend=backend)
             )
             counter = NFACounter(fibonacci_nfa, 7, parameters)
             sampler = UniformWordSampler(counter, rng=random.Random(99))
@@ -383,8 +383,7 @@ class TestDegenerateAutomataParity:
                 delta=0.2,
                 scale=ParameterScale.practical(sample_cap=6, union_trial_cap=8),
                 seed=7,
-                backend=backend,
-                use_engine_cache=False,
+                policy=ExecutionPolicy(backend=backend, use_engine_cache=False),
             )
             results[backend] = NFACounter(nfa, 5, parameters).run()
         for backend in FAST_BACKENDS:

@@ -28,6 +28,7 @@ from repro.automata.random_gen import random_nonempty_nfa
 from repro.automata.unroll import UnrolledAutomaton
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 from repro.counting.sampler import SampleDraw, _branch_table, _choose_branch
 
 BACKENDS = [
@@ -97,9 +98,7 @@ def _observe(nfa, length, *, store, seed, scale):
         epsilon=0.6,
         delta=0.2,
         seed=seed,
-        use_engine_cache=False,
-        store=store,
-        window=2,
+        policy=ExecutionPolicy(use_engine_cache=False, store=store, window=2),
         scale=scale,
     )
     counter = NFACounter(nfa, length, parameters=parameters)

@@ -46,6 +46,8 @@ SCALE = ParameterScale.practical(sample_cap=8, union_trial_cap=10)
 
 #: Algorithm-level work counters that must be worker-count invariant.
 WORK_KEYS = ("union_calls", "membership_calls", "sample_draws", "padded_states")
+#: The two-worker, two-shard plan the direct ``run_fpras_sharded`` tests use.
+TWO_BY_TWO = ExecutionPolicy(workers=2, shards=2)
 
 
 def _fpras(nfa, length, *, workers, shards, seed=11):
@@ -232,15 +234,16 @@ def test_fpras_unserialisable_automaton_rejected():
 
 
 def test_run_fpras_sharded_direct_entry_point(substring_101_nfa):
-    parameters = FPRASParameters(epsilon=0.5, delta=0.2, scale=SCALE, seed=None)
-    result, details = run_fpras_sharded(
-        substring_101_nfa, 6, parameters, shards=2, workers=2, seed=9
-    )
+    def parameters(workers):
+        policy = ExecutionPolicy(shards=2, workers=workers)
+        return FPRASParameters(
+            epsilon=0.5, delta=0.2, scale=SCALE, seed=None, policy=policy
+        )
+
+    result, details = run_fpras_sharded(substring_101_nfa, 6, parameters(2), seed=9)
     assert result.estimate > 0
     assert details["shards"] == 2 and details["workers"] == 2
-    serial_result, _ = run_fpras_sharded(
-        substring_101_nfa, 6, parameters, shards=2, workers=1, seed=9
-    )
+    serial_result, _ = run_fpras_sharded(substring_101_nfa, 6, parameters(1), seed=9)
     assert serial_result.estimate == result.estimate
 
 
@@ -319,13 +322,12 @@ def test_montecarlo_parallel_wave_boundary_parity(substring_101_nfa):
 
 def test_run_fpras_sharded_single_shard_honours_int_seed(substring_101_nfa):
     """Direct shards=1 calls must be deterministic under an explicit int seed."""
-    parameters = FPRASParameters(epsilon=0.5, delta=0.2, scale=SCALE, seed=None)
-    first, _ = run_fpras_sharded(
-        substring_101_nfa, 6, parameters, shards=1, workers=2, seed=9
+    parameters = FPRASParameters(
+        epsilon=0.5, delta=0.2, scale=SCALE, seed=None,
+        policy=ExecutionPolicy(shards=1, workers=2),
     )
-    second, _ = run_fpras_sharded(
-        substring_101_nfa, 6, parameters, shards=1, workers=2, seed=9
-    )
+    first, _ = run_fpras_sharded(substring_101_nfa, 6, parameters, seed=9)
+    second, _ = run_fpras_sharded(substring_101_nfa, 6, parameters, seed=9)
     assert first.estimate == second.estimate
 
 
@@ -335,12 +337,12 @@ def test_montecarlo_parallel_validates_arguments(substring_101_nfa):
     with pytest.raises(ReproError):
         run_montecarlo_sharded(
             substring_101_nfa, 4, 0, random.Random(1),
-            backend=None, use_engine_cache=True, workers=2,
+            policy=ExecutionPolicy(workers=2),
         )
     with pytest.raises(ReproError):
         run_montecarlo_sharded(
             substring_101_nfa, -1, 10, random.Random(1),
-            backend=None, use_engine_cache=True, workers=2,
+            policy=ExecutionPolicy(workers=2),
         )
 
 
@@ -492,11 +494,9 @@ def test_fpras_run_surfaces_mid_run_worker_death(substring_101_nfa, monkeypatch)
         os._exit(13)
 
     monkeypatch.setattr(parallel, "_run_shard", _die)
-    params = FPRASParameters(epsilon=0.5, scale=SCALE)
+    params = FPRASParameters(epsilon=0.5, scale=SCALE, policy=TWO_BY_TWO)
     with pytest.raises(WorkerCrashError) as excinfo:
-        run_fpras_sharded(
-            substring_101_nfa, 6, params, workers=2, shards=2, seed=11
-        )
+        run_fpras_sharded(substring_101_nfa, 6, params, seed=11)
     assert "exit code 13" in str(excinfo.value)
     assert not _alive_worker_pids()
 
@@ -509,11 +509,9 @@ def test_crash_error_is_catchable_as_counting_method_error(
     from repro.counting import parallel
 
     monkeypatch.setattr(parallel, "_run_shard", lambda *a, **k: os._exit(7))
-    params = FPRASParameters(epsilon=0.5, scale=SCALE)
+    params = FPRASParameters(epsilon=0.5, scale=SCALE, policy=TWO_BY_TWO)
     with pytest.raises(CountingMethodError):
-        run_fpras_sharded(
-            substring_101_nfa, 6, params, workers=2, shards=2, seed=11
-        )
+        run_fpras_sharded(substring_101_nfa, 6, params, seed=11)
 
 
 # ----------------------------------------------------------------------
@@ -560,15 +558,13 @@ def test_resolve_workers_survives_affinity_oserror(monkeypatch):
 def test_pool_manager_reuses_pools_across_runs(substring_101_nfa):
     from repro.counting.parallel import WorkerPoolManager
 
-    params = FPRASParameters(epsilon=0.5, scale=SCALE)
+    params = FPRASParameters(epsilon=0.5, scale=SCALE, policy=TWO_BY_TWO)
     with WorkerPoolManager() as manager:
         first, _ = run_fpras_sharded(
-            substring_101_nfa, 6, params,
-            workers=2, shards=2, seed=11, pool_manager=manager,
+            substring_101_nfa, 6, params, seed=11, pool_manager=manager
         )
         second, _ = run_fpras_sharded(
-            substring_101_nfa, 6, params,
-            workers=2, shards=2, seed=11, pool_manager=manager,
+            substring_101_nfa, 6, params, seed=11, pool_manager=manager
         )
         snapshot = manager.snapshot()
         assert snapshot["created"] == 1
@@ -581,18 +577,14 @@ def test_pool_manager_estimates_match_unmanaged_runs(substring_101_nfa):
     """Leased warm pools change wall-time, never the estimate."""
     from repro.counting.parallel import WorkerPoolManager
 
-    params = FPRASParameters(epsilon=0.5, scale=SCALE)
-    plain, _ = run_fpras_sharded(
-        substring_101_nfa, 6, params, workers=2, shards=2, seed=11
-    )
+    params = FPRASParameters(epsilon=0.5, scale=SCALE, policy=TWO_BY_TWO)
+    plain, _ = run_fpras_sharded(substring_101_nfa, 6, params, seed=11)
     with WorkerPoolManager() as manager:
         warm, _ = run_fpras_sharded(
-            substring_101_nfa, 6, params,
-            workers=2, shards=2, seed=11, pool_manager=manager,
+            substring_101_nfa, 6, params, seed=11, pool_manager=manager
         )
         again, _ = run_fpras_sharded(
-            substring_101_nfa, 6, params,
-            workers=2, shards=2, seed=11, pool_manager=manager,
+            substring_101_nfa, 6, params, seed=11, pool_manager=manager
         )
     assert warm.estimate == plain.estimate
     assert again.estimate == plain.estimate
@@ -611,21 +603,19 @@ def test_pool_manager_discards_pool_after_failed_run(
     from repro.counting.parallel import WorkerPoolManager
     from repro.errors import WorkerCrashError
 
-    params = FPRASParameters(epsilon=0.5, scale=SCALE)
+    params = FPRASParameters(epsilon=0.5, scale=SCALE, policy=TWO_BY_TWO)
     with WorkerPoolManager() as manager:
         monkeypatch.setattr(parallel, "_run_shard", lambda *a, **k: os._exit(9))
         with pytest.raises(WorkerCrashError):
             run_fpras_sharded(
-                substring_101_nfa, 6, params,
-                workers=2, shards=2, seed=11, pool_manager=manager,
+                substring_101_nfa, 6, params, seed=11, pool_manager=manager
             )
         monkeypatch.undo()
         assert manager.snapshot()["idle"] == 0
         assert manager.snapshot()["discarded"] == 1
         # The next run simply forks a fresh pool and succeeds.
         result, _ = run_fpras_sharded(
-            substring_101_nfa, 6, params,
-            workers=2, shards=2, seed=11, pool_manager=manager,
+            substring_101_nfa, 6, params, seed=11, pool_manager=manager
         )
         assert result.estimate > 0
 

@@ -434,6 +434,28 @@ class TestRequestValidation:
     @pytest.mark.parametrize(
         "knobs, fragment",
         [
+            ({"method": "acjr", "options": {"sample_cap": "96"}}, "sample_cap"),
+            ({"method": "acjr", "options": {"attempt_factor": float("nan")}}, "attempt_factor"),
+            ({"method": "acjr", "epsilon": float("inf")}, "epsilon"),
+            ({"method": "montecarlo", "options": {"num_samples": "10"}}, "num_samples"),
+            ({"method": "montecarlo", "options": {"num_samples": 2.5}}, "num_samples"),
+            ({"method": "bruteforce", "options": {"limit": "5"}}, "limit"),
+            ({"method": "fpras", "options": {"scale": "practical"}}, "scale"),
+            ({"method": "fpras", "epsilon": float("inf")}, "epsilon"),
+        ],
+    )
+    def test_malformed_method_inputs_are_400(self, server, knobs, fragment):
+        """Non-finite JSON literals and mistyped options never reach a 500."""
+        status, payload = _post(
+            server, _body(no_consecutive_ones_nfa(), 6, seed=1, **knobs)
+        )
+        assert status == 400
+        assert fragment in payload["error"]
+        assert server.stats()["counters"]["counting_runs"] == 0
+
+    @pytest.mark.parametrize(
+        "knobs, fragment",
+        [
             ({"backend": "auto"}, "auto"),
             ({"options": {"kernel": "off"}}, "kernel"),
         ],

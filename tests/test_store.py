@@ -176,10 +176,9 @@ def _run_counter(nfa, length, *, store, window=DEFAULT_WINDOW, backend=None,
         epsilon=0.6,
         delta=0.2,
         seed=seed,
-        backend=backend,
-        use_engine_cache=False,
-        store=store,
-        window=window,
+        policy=ExecutionPolicy(
+            backend=backend, use_engine_cache=False, store=store, window=window
+        ),
         scale=scale if scale is not None else _scale(),
     )
     counter = NFACounter(nfa, length, parameters=parameters)
@@ -274,6 +273,17 @@ def test_reuse_descent_steps_changes_only_the_cache_hit_diagnostic():
         off, _ = _run_counter(nfa, 64, store=store, window=3, scale=scale_off)
         assert on == off
     assert scale_on.reuse_descent_steps and not scale_off.reuse_descent_steps
+
+
+def test_measure_fpras_memory_row_reports_resolved_backend_and_spills():
+    """The memory-gate row names the engine actually used, never ``None``."""
+    from repro.workloads.longwords import measure_fpras_memory
+
+    row = measure_fpras_memory(64, window=2, probe="rss")
+    assert row["estimate"] == 1.0
+    assert row["backend"] == "bitset"
+    assert row["store"] == "windowed" and row["window"] == 2
+    assert row["counters"]["store_spilled_levels"] > 0
 
 
 def test_store_knobs_are_fingerprint_neutral():

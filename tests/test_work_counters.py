@@ -21,6 +21,7 @@ from repro.automata.families import substring_nfa
 from repro.automata.unroll import ReachabilityCache, UnrolledAutomaton
 from repro.counting.fpras import NFACounter
 from repro.counting.params import FPRASParameters, ParameterScale
+from repro.counting.policy import ExecutionPolicy
 
 #: The fixed instance: words containing "101", unrolled to length 8.
 LENGTH = 8
@@ -58,7 +59,7 @@ def _run(backend: str):
         delta=0.2,
         scale=ParameterScale.practical(sample_cap=10, union_trial_cap=12),
         seed=SEED,
-        backend=backend,
+        policy=ExecutionPolicy(backend=backend),
     )
     return NFACounter(substring_nfa("101"), LENGTH, parameters).run()
 
