@@ -22,8 +22,9 @@ from __future__ import annotations
 import time
 
 from repro.automata.engine import EngineRegistry, create_engine
+from repro.automata.families import build_family
+from repro.harness.experiments import scaling_states_args
 from repro.harness.reporting import format_table
-from repro.workloads.generator import scaling_suite_states
 
 #: State counts of the E4 membership-dominated configuration.
 BATCH_STATE_COUNTS = (8, 16, 24)
@@ -40,14 +41,22 @@ BATCH_MIN_RATIO = 1.5
 REGISTRY_MIN_RATIO = 3.0
 
 
-def _workload_words(workload, rng):
+def _e4_automata():
+    """The E4 (m-scaling) automata at :data:`BATCH_STATE_COUNTS`."""
+    return [
+        build_family("random_nfa", **scaling_states_args(m))
+        for m in BATCH_STATE_COUNTS
+    ]
+
+
+def _workload_words(nfa, rng):
     """A seeded multiset with the duplicate structure of sample storage.
 
     Half the multiset repeats earlier words: AppUnion draws its trial
     elements from stored per-state sample multisets (``ns`` words queried
     across many trials), so heavy duplication is the representative case.
     """
-    alphabet = list(workload.nfa.alphabet)
+    alphabet = list(nfa.alphabet)
     distinct = [
         tuple(rng.choice(alphabet) for _ in range(BATCH_WORD_LENGTH))
         for _ in range(BATCH_WORDS // 2)
@@ -82,13 +91,12 @@ def _batched_seconds(engine, words, states, upto) -> float:
 
 
 def _batching_comparison(bench_rng):
-    suite = scaling_suite_states(state_counts=BATCH_STATE_COUNTS)
     rows = []
     ratios = []
-    for workload in suite:
-        words = _workload_words(workload, bench_rng)
-        engine = create_engine(workload.nfa, "bitset")
-        states = sorted(workload.nfa.states, key=repr)
+    for nfa in _e4_automata():
+        words = _workload_words(nfa, bench_rng)
+        engine = create_engine(nfa, "bitset")
+        states = sorted(nfa.states, key=repr)
         upto = len(states)
         # Differential check first: both paths answer identically.
         checker = engine.batch_checker(states)
@@ -101,7 +109,7 @@ def _batching_comparison(bench_rng):
         ratios.append(ratio)
         rows.append(
             {
-                "m": workload.num_states,
+                "m": nfa.num_states,
                 "length": BATCH_WORD_LENGTH,
                 "words": len(words),
                 "per_word_seconds": per_word_seconds,
@@ -141,28 +149,27 @@ def test_batched_membership_speedup(benchmark, report, bench_rng):
 
 
 def _registry_comparison():
-    suite = scaling_suite_states(state_counts=BATCH_STATE_COUNTS)
     rows = []
     ratios = []
-    for workload in suite:
+    for nfa in _e4_automata():
         build_best = float("inf")
         for _ in range(5):
             started = time.perf_counter()
-            create_engine(workload.nfa, "bitset")
+            create_engine(nfa, "bitset")
             build_best = min(build_best, time.perf_counter() - started)
         registry = EngineRegistry()
-        registry.get(workload.nfa, "bitset")  # warm the slot
+        registry.get(nfa, "bitset")  # warm the slot
         hit_best = float("inf")
         for _ in range(5):
             started = time.perf_counter()
             for _repeat in range(100):
-                registry.get(workload.nfa, "bitset")
+                registry.get(nfa, "bitset")
             hit_best = min(hit_best, (time.perf_counter() - started) / 100)
         ratio = build_best / hit_best
         ratios.append(ratio)
         rows.append(
             {
-                "m": workload.num_states,
+                "m": nfa.num_states,
                 "build_seconds": build_best,
                 "registry_hit_seconds": hit_best,
                 "speedup": ratio,

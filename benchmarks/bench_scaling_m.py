@@ -23,9 +23,9 @@ import time
 from block_workloads import best_of, block_instance, block_words
 
 from repro.automata.engine import create_engine
-from repro.harness.experiments import run_scaling_states
+from repro.automata.families import build_family
+from repro.harness.experiments import run_scaling_states, scaling_states_args
 from repro.harness.reporting import format_table
-from repro.workloads.generator import scaling_suite_states
 
 #: State counts of the membership-dominated backend comparison; the larger
 #: end of the E4 sweep is where the frozenset unions hurt the most.
@@ -75,18 +75,19 @@ def _membership_seconds(engine, words) -> float:
 
 
 def _engine_comparison(bench_rng):
-    """Measure reference vs bitset membership throughput on the E4 suite."""
-    suite = scaling_suite_states(state_counts=SPEEDUP_STATE_COUNTS)
+    """Measure reference vs bitset membership throughput on the E4 automata."""
     rows = []
     ratios = []
-    for workload in suite:
-        alphabet = list(workload.nfa.alphabet)
+    for m in SPEEDUP_STATE_COUNTS:
+        args = scaling_states_args(m)
+        nfa = build_family("random_nfa", **args)
+        alphabet = list(nfa.alphabet)
         words = [
-            tuple(bench_rng.choice(alphabet) for _ in range(workload.length))
+            tuple(bench_rng.choice(alphabet) for _ in range(args["length"]))
             for _ in range(SPEEDUP_WORDS)
         ]
-        reference = create_engine(workload.nfa, "reference")
-        bitset = create_engine(workload.nfa, "bitset")
+        reference = create_engine(nfa, "reference")
+        bitset = create_engine(nfa, "bitset")
         # Both backends must agree on every query (differential check).
         agreement = [reference.accepts(word) == bitset.accepts(word) for word in words]
         assert all(agreement)
@@ -96,8 +97,8 @@ def _engine_comparison(bench_rng):
         ratios.append(ratio)
         rows.append(
             {
-                "m": workload.num_states,
-                "length": workload.length,
+                "m": nfa.num_states,
+                "length": args["length"],
                 "words": SPEEDUP_WORDS,
                 "reference_seconds": reference_seconds,
                 "bitset_seconds": bitset_seconds,

@@ -8,8 +8,8 @@ NumPy is a real runtime dependency since the ``numpy`` block-simulation
 backend (``repro.automata.block``): the pinned range spans the releases
 whose ``packbits``/``unpackbits`` ``bitorder`` semantics and fancy-indexing
 behaviour the engine relies on, capped below the next major to guard
-against API breaks.  The library still imports without NumPy — the backend
-simply stays unregistered — so stripped-down environments keep working.
+against API breaks.  The library does not import without NumPy: the DFA
+transfer-matrix counter (``repro.automata.dfa``) needs it too.
 """
 
 from setuptools import setup

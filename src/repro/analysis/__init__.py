@@ -1,4 +1,4 @@
-"""Analysis utilities: statistics, accuracy evaluation and cost models."""
+"""Analysis utilities: statistics and cost models."""
 
 from repro.analysis.statistics import (
     EmpiricalDistribution,
@@ -8,7 +8,6 @@ from repro.analysis.statistics import (
     total_variation_distance,
     uniformity_report,
 )
-from repro.analysis.accuracy import AccuracyReport, evaluate_accuracy
 from repro.analysis.complexity import (
     ComplexityPoint,
     compare_time_bounds,
@@ -23,8 +22,6 @@ __all__ = [
     "chernoff_sample_size",
     "hoeffding_bound",
     "mean_confidence_interval",
-    "AccuracyReport",
-    "evaluate_accuracy",
     "ComplexityPoint",
     "samples_per_state_table",
     "compare_time_bounds",

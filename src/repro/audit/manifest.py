@@ -47,6 +47,8 @@ import sys
 import time
 from typing import Dict, List, Mapping, Optional, Sequence
 
+import numpy
+
 from repro.audit.scenarios import Scenario, expand_matrix
 from repro.automata.exact import count_exact
 from repro.automata.nfa import NFA
@@ -86,22 +88,13 @@ def _git_revision() -> Optional[str]:
     return value if revision.returncode == 0 and value else None
 
 
-def _numpy_version() -> Optional[str]:
-    """The installed numpy version, or ``None`` when numpy is absent."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy.__version__
-
-
 def environment() -> Dict[str, object]:
     """The reproducibility context a manifest records alongside its results."""
     return {
         "git_revision": _git_revision(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "numpy": _numpy_version(),
+        "numpy": numpy.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "pythonhashseed": os.environ.get("PYTHONHASHSEED"),

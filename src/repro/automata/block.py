@@ -27,11 +27,10 @@ cost is independent of ``m``:
   :meth:`~BlockEngine._extend_batch`, keeping the trie-walk accounting
   bit-identical to the other backends.
 
-The backend registers itself as ``"numpy"`` when NumPy is importable (it is
-a declared dependency; the guard keeps the rest of the library importable
-on stripped-down environments).  It is selected explicitly with
-``backend="numpy"``; ``benchmarks/bench_block.py`` records where its
-batched membership path overtakes the bitset backend.
+The backend registers itself as ``"numpy"`` (NumPy is a hard dependency
+of the package).  It is selected explicitly with ``backend="numpy"``;
+``benchmarks/bench_block.py`` records where its batched membership path
+overtakes the bitset backend.
 
 Example::
 
@@ -50,6 +49,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.automata.engine import (
     DECODE_CACHE_LIMIT,
     Engine,
@@ -58,14 +59,6 @@ from repro.automata.engine import (
 )
 from repro.automata.nfa import NFA, State, Symbol, as_word
 from repro.errors import AutomatonError
-
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
-    NUMPY_AVAILABLE = False
 
 #: Bits per block of the packed state-set representation.
 BLOCK_BITS = 64
@@ -104,10 +97,6 @@ class BlockEngine(Engine):
     name = "numpy"
 
     def __init__(self, nfa: NFA) -> None:
-        if not NUMPY_AVAILABLE:  # pragma: no cover - registration is gated
-            raise AutomatonError(
-                "the 'numpy' simulation backend requires NumPy to be installed"
-            )
         super().__init__(nfa)
         ordered: List[State] = sorted(nfa.states, key=repr)
         self._states: Tuple[State, ...] = tuple(ordered)
@@ -483,5 +472,4 @@ class BlockEngine(Engine):
         return check
 
 
-if NUMPY_AVAILABLE:
-    register_engine(BlockEngine.name, BlockEngine)
+register_engine(BlockEngine.name, BlockEngine)

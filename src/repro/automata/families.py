@@ -21,7 +21,7 @@ benchmark harness and the CLI can reference workloads by name.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set
 
 from repro.automata.nfa import BINARY_ALPHABET, NFA, Symbol, Transition, word_from_string
 
@@ -315,17 +315,3 @@ def build_family(name: str, **params: object) -> NFA:
             f"unknown family {name!r}; known families: {sorted(FAMILY_REGISTRY)}"
         ) from error
     return builder(**params)
-
-
-def default_benchmark_suite() -> List[Tuple[str, NFA]]:
-    """The mixed suite of named automata used by the accuracy benchmarks."""
-    return [
-        ("all_words", all_words_nfa()),
-        ("parity_3", parity_nfa(3)),
-        ("divisibility_5", divisibility_nfa(5)),
-        ("substring_101", substring_nfa("101")),
-        ("suffix_0110", suffix_nfa("0110")),
-        ("union_patterns", union_of_patterns_nfa(["00", "11", "0101"])),
-        ("no_consecutive_ones", no_consecutive_ones_nfa()),
-        ("ladder_4", ladder_nfa(4)),
-    ]

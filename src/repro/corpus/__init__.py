@@ -1,7 +1,7 @@
 """Curated real-workload corpus: the paper's motivating applications as data.
 
 Everything else in the repo measures the FPRAS on synthetic automata
-(:mod:`repro.automata.families`, :mod:`repro.workloads.generator`); this
+(:mod:`repro.automata.families`, :mod:`repro.automata.random_gen`); this
 package supplies workloads shaped like the applications the paper opens
 with — regex patterns harvested from real log-parsing / lint / validation
 collections (:mod:`repro.corpus.patterns`) and RPQ query classes over

@@ -8,10 +8,11 @@ application scenarios from its introduction.  Runners return an
 :func:`repro.harness.reporting.format_table`; the benchmark modules under
 ``benchmarks/`` wrap the same runners in ``pytest-benchmark`` fixtures.
 
-E1, E2 and E8 run their sweeps through the declarative scenario matrix
-(:mod:`repro.audit.scenarios` / :func:`repro.audit.manifest.run_matrix`)
-instead of hand-rolled loops, so their cells carry audit-manifest records
-(fingerprints, ground truth, guarantee verdicts) for free.
+Every counting sweep (E1-E5 and E8) runs through the declarative scenario
+matrix (:mod:`repro.audit.scenarios` / :func:`repro.audit.manifest.run_matrix`),
+so its cells carry audit-manifest records (fingerprints, ground truth,
+guarantee verdicts) for free.  E6 and E7 are not counting sweeps: E6 calls
+three application reductions once each and E7 draws sampler words.
 
 All experiments accept a ``quick`` flag: the default (quick) settings run in
 seconds on a laptop; ``quick=False`` uses larger sweeps for report-quality
@@ -20,24 +21,22 @@ numbers.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.complexity import complexity_point, growth_exponent
 from repro.analysis.statistics import uniformity_report
+from repro.audit import DEFAULT_MATRIX, run_matrix
 from repro.automata import families
 from repro.automata.exact import enumerate_slice
-from repro.counting.api import CountRequest, count as unified_count
+from repro.counting.api import CountRequest
 from repro.counting.fpras import FPRASParameters
 from repro.counting.policy import ExecutionPolicy
 from repro.counting.uniform import UniformWordSampler
 from repro.errors import ExperimentError
-from repro.workloads.generator import (
-    scaling_suite_epsilon,
-    scaling_suite_states,
-)
 
 
 #: Default seed for every experiment entry point.  All estimator randomness
@@ -81,7 +80,7 @@ ExperimentRunner = Callable[..., ExperimentResult]
 # E1 — sample complexity per state (paper's Table-1-equivalent claim)
 # ----------------------------------------------------------------------
 def run_sample_complexity(
-    quick: bool = True, seed: Optional[int] = None, **_ignored: object
+    quick: bool = True, seed: Optional[int] = None
 ) -> ExperimentResult:
     """Configured samples per (state, level): ACJR vs this paper.
 
@@ -93,8 +92,6 @@ def run_sample_complexity(
     with the capped FPRAS, and its row pairs the analytic sample/time
     formulas with the measured relative error and wall time of that run.
     """
-    from repro.audit import run_matrix
-
     result = ExperimentResult(
         experiment="E1",
         description="samples per (state, level): ACJR O((mn/eps)^7) vs paper Õ(n^4/eps^2)",
@@ -174,7 +171,6 @@ def run_accuracy(
     length: Optional[int] = None,
     seed: Optional[int] = None,
     backend: Optional[str] = None,
-    **_ignored: object,
 ) -> ExperimentResult:
     """Relative error and guarantee satisfaction across the structured families.
 
@@ -184,8 +180,6 @@ def run_accuracy(
     family's seed group exactly as the audit manifest records it (ground
     truth, mean/max relative error, fraction within the guarantee).
     """
-    from repro.audit import run_matrix
-
     result = ExperimentResult(
         experiment="E2",
         description="FPRAS accuracy vs exact counts (Theorem 3 guarantee)",
@@ -249,64 +243,42 @@ def run_accuracy(
 # ----------------------------------------------------------------------
 # E3/E4/E5 — runtime scaling in n, m, and 1/eps
 # ----------------------------------------------------------------------
-def _scaling_rows(
-    suite,
-    vary: str,
-    include_acjr: bool,
-    include_montecarlo: bool,
-    rng: random.Random,
-    backend: Optional[str] = None,
+def _sweep_rows(
+    manifest: Mapping[str, object],
+    axis: str,
+    point: Callable[[Mapping[str, object]], str],
 ) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
-    for workload in suite:
-        exact = workload.exact_count()
-        row: Dict[str, object] = {
-            vary: workload.name,
-            "states": workload.num_states,
-            "length": workload.length,
-            "exact": exact,
-        }
-        started = time.perf_counter()
-        fpras = unified_count(
-            workload.nfa,
-            workload.length,
-            method="fpras",
-            epsilon=workload.epsilon,
-            delta=workload.delta,
-            seed=_derive_seed(rng),
-            policy=ExecutionPolicy(backend=backend),
+    """One table row per sweep point of a scaling matrix.
+
+    ``point`` labels a record's cell (``"m=8"``, ``"eps=0.5"``) and the row
+    stores that label under ``axis``.  Rows keep the order their points
+    first appear in the manifest, which is the sweep order of the spec.
+    Every method of a point contributes ``<method>_seconds`` and
+    ``<method>_rel_error`` (plus ``<method>_samples_per_state`` when it
+    reports ``ns``); the fpras record also supplies the ``backend`` column.
+    """
+    rows: Dict[str, Dict[str, object]] = {}
+    for record in manifest["scenarios"]:
+        cell = record["spec"]
+        label = point(cell)
+        row = rows.setdefault(
+            label,
+            {
+                axis: label,
+                "states": record["report"]["num_states"],
+                "length": cell["length"],
+                "exact": record["exact"],
+            },
         )
-        row["fpras_seconds"] = time.perf_counter() - started
-        row["fpras_rel_error"] = fpras.relative_error(exact)
-        row["fpras_samples_per_state"] = fpras.raw.ns
-        row["backend"] = fpras.backend
-        if include_acjr:
-            started = time.perf_counter()
-            acjr = unified_count(
-                workload.nfa,
-                workload.length,
-                method="acjr",
-                epsilon=workload.epsilon,
-                seed=_derive_seed(rng),
-                policy=ExecutionPolicy(backend=backend),
-            )
-            row["acjr_seconds"] = time.perf_counter() - started
-            row["acjr_rel_error"] = acjr.relative_error(exact)
-            row["acjr_samples_per_state"] = acjr.raw.ns
-        if include_montecarlo:
-            started = time.perf_counter()
-            montecarlo = unified_count(
-                workload.nfa,
-                workload.length,
-                method="montecarlo",
-                num_samples=4000,
-                seed=_derive_seed(rng),
-                policy=ExecutionPolicy(backend=backend),
-            )
-            row["montecarlo_seconds"] = time.perf_counter() - started
-            row["montecarlo_rel_error"] = montecarlo.relative_error(exact)
-        rows.append(row)
-    return rows
+        method = cell["method"]
+        row[f"{method}_seconds"] = record["elapsed_seconds"]
+        row[f"{method}_rel_error"] = record["relative_error"]
+        ns = record["report"]["details"].get("ns")
+        if ns is not None:
+            row[f"{method}_samples_per_state"] = ns
+        if method == "fpras":
+            row["backend"] = record["backend"]
+    return list(rows.values())
 
 
 def _append_growth_note(result: ExperimentResult, xs: Sequence[float], key: str) -> None:
@@ -320,19 +292,13 @@ def run_scaling_length(
     quick: bool = True,
     seed: Optional[int] = None,
     backend: Optional[str] = None,
-    **_ignored: object,
 ) -> ExperimentResult:
     """Runtime growth with the word length n (Theorem 3's n-dependence).
 
-    Ported onto the declarative scenario matrix like E1/E2/E8: the workload
-    is one ``random_nfa`` family cell — the registered form of the old
-    ``scaling_suite_length`` generator automaton (same ``num_states``,
-    ``density`` and construction seed) — swept over the length axis and
-    crossed with the estimator methods, so every E3 cell is an
-    audit-manifest record with a fingerprint and ground truth for free.
+    The workload is one seeded ``random_nfa`` family cell swept over the
+    length axis of a :func:`repro.audit.manifest.run_matrix` spec and
+    crossed with the estimator methods.
     """
-    from repro.audit import run_matrix
-
     result = ExperimentResult(
         experiment="E3", description="runtime scaling with n (fixed m, epsilon)"
     )
@@ -356,53 +322,57 @@ def run_scaling_length(
         "seeds": [_derive_seed(rng)],
         "options": {"montecarlo": {"num_samples": 4000}},
     }
-    manifest = run_matrix(spec)
-    rows: Dict[int, Dict[str, object]] = {}
-    for record in manifest["scenarios"]:
-        cell = record["spec"]
-        length = int(cell["length"])
-        row = rows.setdefault(
-            length,
-            {
-                "n": f"n={length}",
-                "states": int(family_args["num_states"]),
-                "length": length,
-            },
-        )
-        row["exact"] = record["exact"]
-        method = cell["method"]
-        row[f"{method}_seconds"] = record["elapsed_seconds"]
-        row[f"{method}_rel_error"] = record["relative_error"]
-        if method == "fpras":
-            row["fpras_samples_per_state"] = record["report"]["details"]["ns"]
-            row["backend"] = record["backend"]
-    result.rows = [rows[length] for length in sorted(rows)]
-    _append_growth_note(result, [float(n) for n in sorted(rows)], "fpras_seconds")
-    result.add_note(
-        "cells come from an audited run_matrix sweep of the random_nfa family "
-        "(the registered form of the old scaling_suite_length automaton)."
+    result.rows = _sweep_rows(
+        run_matrix(spec), "n", lambda cell: f"n={cell['length']}"
     )
+    _append_growth_note(result, [float(n) for n in lengths], "fpras_seconds")
     result.elapsed_seconds = time.perf_counter() - start
     return result
+
+
+def scaling_states_args(m: int) -> Dict[str, object]:
+    """The ``random_nfa`` family arguments of E4's m-state cell.
+
+    Every cell is non-empty at length 8; the density thins out as m grows
+    so the slices stay comparable in size.  The m-scaling benchmarks build
+    their automata from the same arguments.
+    """
+    return {
+        "num_states": m,
+        "length": 8,
+        "density": min(0.5, 2.5 / m + 0.15),
+        "seed": 17 + m,
+    }
 
 
 def run_scaling_states(
     quick: bool = True,
     seed: Optional[int] = None,
     backend: Optional[str] = None,
-    **_ignored: object,
 ) -> ExperimentResult:
-    """Runtime growth with the automaton size m ("independent of m" claim)."""
+    """Runtime growth with the automaton size m ("independent of m" claim).
+
+    One :func:`scaling_states_args` family cell per m, counted through
+    :func:`repro.audit.manifest.run_matrix`.
+    """
     result = ExperimentResult(
         experiment="E4", description="runtime scaling with m (fixed n, epsilon)"
     )
     start = time.perf_counter()
     rng = _experiment_rng(seed)
     state_counts = (4, 6, 8) if quick else (4, 6, 8, 12, 16, 24)
-    suite = scaling_suite_states(state_counts=state_counts)
-    result.rows = _scaling_rows(
-        suite, "m", include_acjr=not quick, include_montecarlo=False,
-        rng=rng, backend=backend,
+    spec = {
+        "families": [
+            {"family": "random_nfa", "args": args, "lengths": [args["length"]]}
+            for args in map(scaling_states_args, state_counts)
+        ],
+        "methods": ["fpras"] if quick else ["fpras", "acjr"],
+        "backends": [backend],
+        "accuracy": [{"epsilon": 0.4, "delta": 0.1}],
+        "seeds": [_derive_seed(rng)],
+    }
+    result.rows = _sweep_rows(
+        run_matrix(spec), "m", lambda cell: f"m={cell['family_args']['num_states']}"
     )
     _append_growth_note(result, [float(m) for m in state_counts], "fpras_seconds")
     result.add_note(
@@ -416,23 +386,34 @@ def run_scaling_epsilon(
     quick: bool = True,
     seed: Optional[int] = None,
     backend: Optional[str] = None,
-    **_ignored: object,
 ) -> ExperimentResult:
-    """Runtime / sample growth as the accuracy target tightens."""
+    """Runtime / sample growth as the accuracy target tightens.
+
+    One ``suffix(0110)`` cell at n=8 whose accuracy axis carries the
+    epsilon sweep, counted through :func:`repro.audit.manifest.run_matrix`.
+    """
     result = ExperimentResult(
         experiment="E5", description="scaling with 1/epsilon (fixed m, n)"
     )
     start = time.perf_counter()
     rng = _experiment_rng(seed)
     epsilons = (1.0, 0.5, 0.3) if quick else (1.0, 0.7, 0.5, 0.3, 0.2, 0.1)
-    suite = scaling_suite_epsilon(epsilons=epsilons)
-    result.rows = _scaling_rows(
-        suite, "epsilon", include_acjr=False, include_montecarlo=False,
-        rng=rng, backend=backend,
+    delta = 0.1
+    spec = {
+        "families": [
+            {"family": "suffix", "args": {"pattern": "0110"}, "lengths": [8]}
+        ],
+        "methods": ["fpras"],
+        "backends": [backend],
+        "accuracy": [{"epsilon": epsilon, "delta": delta} for epsilon in epsilons],
+        "seeds": [_derive_seed(rng)],
+    }
+    result.rows = _sweep_rows(
+        run_matrix(spec), "epsilon", lambda cell: f"eps={cell['epsilon']}"
     )
-    for row, workload in zip(result.rows, suite):
-        parameters = FPRASParameters(epsilon=workload.epsilon, delta=workload.delta)
-        row["paper_ns_formula"] = parameters.ns_paper(workload.length, workload.num_states)
+    for row, epsilon in zip(result.rows, epsilons):
+        parameters = FPRASParameters(epsilon=epsilon, delta=delta)
+        row["paper_ns_formula"] = parameters.ns_paper(row["length"], row["states"])
     result.elapsed_seconds = time.perf_counter() - start
     return result
 
@@ -441,7 +422,7 @@ def run_scaling_epsilon(
 # E6 — the database applications end to end
 # ----------------------------------------------------------------------
 def run_applications(
-    quick: bool = True, seed: Optional[int] = None, **_ignored: object
+    quick: bool = True, seed: Optional[int] = None
 ) -> ExperimentResult:
     """RPQ counting, PQE and graph-homomorphism probability via #NFA."""
     from repro.applications.graphdb import GraphDatabase, RegularPathQuery, RPQCounter
@@ -548,7 +529,6 @@ def run_uniformity(
     sample_count: Optional[int] = None,
     seed: Optional[int] = None,
     backend: Optional[str] = None,
-    **_ignored: object,
 ) -> ExperimentResult:
     """TV distance of sampled words from uniform on enumerable languages."""
     result = ExperimentResult(
@@ -596,19 +576,16 @@ def run_uniformity(
 def run_audit_matrix(
     quick: bool = True,
     seed: Optional[int] = None,
-    **_ignored: object,
 ) -> ExperimentResult:
     """Run the declarative audit matrix and tabulate its per-group summary.
 
-    Unlike E1-E7, whose sweeps are hand-rolled loops, this experiment *is*
-    the declarative pipeline: the matrix spec from
+    Where E1-E5 build their own matrix specs, this experiment runs the
+    audit pipeline's own one: the matrix spec from
     :data:`repro.audit.scenarios.DEFAULT_MATRIX` is expanded factorially,
     executed through the unified facade, and summarised exactly as the CI
     manifest records it — so ``repro experiment E8`` shows locally what the
     audit gate will see.  ``quick`` trims the seed sweep to two seeds.
     """
-    from repro.audit import DEFAULT_MATRIX, run_matrix
-
     result = ExperimentResult(
         experiment="E8",
         description="audited scenario matrix (method x family x seed, manifest summary)",
@@ -663,6 +640,18 @@ def get_experiment(name: str) -> ExperimentRunner:
 
 
 def run_experiment(name: str, quick: bool = True, **options: object) -> ExperimentResult:
-    """Run an experiment by id and return its result."""
+    """Run an experiment by id and return its result.
+
+    Raises :class:`ExperimentError` when an option is not a parameter of
+    the runner, so a misspelled knob cannot silently fall back to its
+    default.
+    """
     runner = get_experiment(name)
+    accepted = list(inspect.signature(runner).parameters)
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise ExperimentError(
+            f"experiment {name.upper()} got unknown option(s) {unknown}; "
+            f"accepted options: {accepted}"
+        )
     return runner(quick=quick, **options)

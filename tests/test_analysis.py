@@ -1,4 +1,4 @@
-"""Tests for the analysis utilities (statistics, accuracy, complexity model)."""
+"""Tests for the analysis utilities (statistics and complexity model)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.analysis.accuracy import AccuracyReport, compare_estimators, evaluate_accuracy
 from repro.analysis.complexity import (
     compare_time_bounds,
     complexity_point,
@@ -24,8 +23,6 @@ from repro.analysis.statistics import (
     total_variation_distance,
     uniformity_report,
 )
-from repro.automata import families
-from repro.automata.exact import count_exact
 
 
 class TestEmpiricalDistribution:
@@ -148,70 +145,6 @@ class TestConcentrationHelpers:
             quantile([], 0.5)
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
-
-
-class TestAccuracyReports:
-    def test_evaluate_accuracy_with_exact_estimator(self):
-        nfa = families.no_consecutive_ones_nfa()
-
-        def exact_estimator(automaton, length, _seed):
-            return float(count_exact(automaton, length))
-
-        report = evaluate_accuracy("exact", nfa, 8, exact_estimator, epsilon=0.2, trials=3)
-        assert report.mean_relative_error == 0.0
-        assert report.within_guarantee_fraction == 1.0
-        assert report.trials == 3
-
-    def test_evaluate_accuracy_with_biased_estimator(self):
-        nfa = families.no_consecutive_ones_nfa()
-        exact = count_exact(nfa, 8)
-
-        def biased(automaton, length, _seed):
-            return 2.0 * count_exact(automaton, length)
-
-        report = evaluate_accuracy("biased", nfa, 8, biased, epsilon=0.2, trials=4, exact=exact)
-        assert report.mean_relative_error == pytest.approx(1.0)
-        assert report.within_guarantee_fraction == 0.0
-        assert report.max_relative_error == pytest.approx(1.0)
-        assert report.median_relative_error == pytest.approx(1.0)
-
-    def test_report_summary_keys(self):
-        report = AccuracyReport(name="x", length=5, exact=10, epsilon=0.3, estimates=[9.0, 11.0])
-        summary = report.summary()
-        assert set(summary) >= {
-            "name",
-            "length",
-            "exact",
-            "epsilon",
-            "trials",
-            "mean_rel_error",
-            "within_guarantee",
-        }
-
-    def test_zero_exact_handling(self):
-        report = AccuracyReport(name="x", length=3, exact=0, epsilon=0.3, estimates=[0.0, 1.0])
-        assert report.within_guarantee_fraction == pytest.approx(0.5)
-        assert report.relative_errors[0] == 0.0
-        assert report.relative_errors[1] == float("inf")
-
-    def test_mean_estimate_interval(self):
-        report = AccuracyReport(
-            name="x", length=3, exact=10, epsilon=0.3, estimates=[9.0, 10.0, 11.0]
-        )
-        mean, low, high = report.mean_estimate_interval()
-        assert low <= mean <= high
-
-    def test_compare_estimators(self):
-        nfa = families.parity_nfa(2)
-
-        def exact_estimator(automaton, length, _seed):
-            return float(count_exact(automaton, length))
-
-        reports = compare_estimators(
-            nfa, 6, [("a", exact_estimator), ("b", exact_estimator)], epsilon=0.2, trials=2
-        )
-        assert len(reports) == 2
-        assert all(report.exact == count_exact(nfa, 6) for report in reports)
 
 
 class TestComplexityModel:

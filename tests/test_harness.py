@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.automata.exact import count_exact
+from repro.automata.families import build_family
 from repro.errors import ExperimentError
 from repro.harness.experiments import (
     EXPERIMENTS,
@@ -12,7 +14,11 @@ from repro.harness.experiments import (
     run_applications,
     run_experiment,
     run_sample_complexity,
+    run_scaling_epsilon,
+    run_scaling_length,
+    run_scaling_states,
     run_uniformity,
+    scaling_states_args,
 )
 from repro.harness.reporting import format_key_values, format_series, format_table
 
@@ -114,7 +120,74 @@ class TestRunners:
         with pytest.raises(ExperimentError):
             run_experiment("nope")
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_run_experiment_rejects_unknown_option(self, name):
+        with pytest.raises(ExperimentError) as excinfo:
+            run_experiment(name, trails=1)
+        message = str(excinfo.value)
+        assert "trails" in message
+        assert "'seed'" in message  # the runner's accepted options are listed
+
     def test_results_render_as_tables(self):
         result = run_sample_complexity(quick=True)
         text = format_table(result.rows, title=result.description)
         assert result.description in text
+
+
+#: Row keys every scaling sweep (E3/E4/E5) reports for its fpras cells.
+FPRAS_ROW_KEYS = {
+    "states",
+    "length",
+    "exact",
+    "fpras_seconds",
+    "fpras_rel_error",
+    "fpras_samples_per_state",
+    "backend",
+}
+
+
+class TestScalingSweeps:
+    """E3/E4/E5 in quick mode: one run_matrix-backed row per sweep point."""
+
+    @pytest.mark.parametrize(
+        "runner,axis,points,extra_keys,automaton",
+        [
+            (
+                run_scaling_length,
+                "n",
+                ["n=4", "n=6", "n=8", "n=10"],
+                {"montecarlo_seconds", "montecarlo_rel_error"},
+                lambda row: build_family(
+                    "random_nfa", num_states=6, length=10, density=0.35, seed=11
+                ),
+            ),
+            (
+                run_scaling_states,
+                "m",
+                ["m=4", "m=6", "m=8"],
+                set(),
+                lambda row: build_family(
+                    "random_nfa", **scaling_states_args(row["states"])
+                ),
+            ),
+            (
+                run_scaling_epsilon,
+                "epsilon",
+                ["eps=1.0", "eps=0.5", "eps=0.3"],
+                {"paper_ns_formula"},
+                lambda row: build_family("suffix", pattern="0110"),
+            ),
+        ],
+        ids=["E3", "E4", "E5"],
+    )
+    def test_rows_per_sweep_point(self, runner, axis, points, extra_keys, automaton):
+        result = runner(quick=True)
+        assert [row[axis] for row in result.rows] == points
+        for row in result.rows:
+            assert set(row) == FPRAS_ROW_KEYS | {axis} | extra_keys
+            assert row["exact"] == count_exact(automaton(row), row["length"])
+
+    def test_samples_per_state_independent_of_m(self):
+        result = run_scaling_states(quick=True)
+        assert [row["states"] for row in result.rows] == [4, 6, 8]
+        assert len({row["fpras_samples_per_state"] for row in result.rows}) == 1

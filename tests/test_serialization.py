@@ -1,7 +1,8 @@
 """Tests for automaton serialization (JSON, text and DOT formats).
 
 Besides the format-level unit tests, this module carries a property-based
-round-trip suite over every :mod:`repro.workloads.generator` automaton:
+round-trip suite over the experiment automata (the E2 accuracy families and
+the E3/E4/E5 scaling cells):
 both formats must reproduce the automaton *structurally* (states —
 including isolated ones — initial, accepting, transitions, alphabet), and
 labels the text format cannot represent must raise a clear
@@ -16,10 +17,11 @@ import random
 
 import pytest
 
+from repro.applications.graphdb import GraphDatabase, RegularPathQuery, RPQCounter
 from repro.automata import families
 from repro.automata.exact import count_exact
 from repro.automata.nfa import NFA
-from repro.automata.random_gen import random_nfa
+from repro.automata.random_gen import random_labeled_graph, random_nfa
 from repro.automata.serialization import (
     JSON_FORMAT_VERSION,
     dump,
@@ -33,7 +35,7 @@ from repro.automata.serialization import (
     nfa_to_text,
 )
 from repro.errors import AutomatonError
-from repro.workloads import generator
+from repro.harness.experiments import ACCURACY_FAMILIES, scaling_states_args
 
 
 @pytest.fixture(
@@ -162,14 +164,37 @@ class TestDot:
         assert '\\"' in dot
 
 
+#: Test-id names of the :data:`ACCURACY_FAMILIES` entries, in order.
+_ACCURACY_NAMES = (
+    "all_words",
+    "parity_3",
+    "divisibility_5",
+    "substring_101",
+    "suffix_0110",
+    "union_patterns",
+    "no_consecutive_ones",
+    "ladder_4",
+)
+
+
 def _generator_workloads():
-    """Every string-labelled workload the generator suites produce."""
-    workloads = []
-    workloads.extend(generator.accuracy_suite(length=6))
-    workloads.extend(generator.scaling_suite_length(lengths=(4, 6), num_states=6))
-    workloads.extend(generator.scaling_suite_states(state_counts=(4, 8, 12)))
-    workloads.extend(generator.scaling_suite_epsilon(epsilons=(0.5, 0.3)))
-    return [(workload.name, workload.nfa) for workload in workloads]
+    """Every string-labelled automaton the experiments count."""
+    assert len(_ACCURACY_NAMES) == len(ACCURACY_FAMILIES)
+    workloads = [
+        (name, families.build_family(entry["family"], **entry["args"]))
+        for name, entry in zip(_ACCURACY_NAMES, ACCURACY_FAMILIES)
+    ]
+    length_nfa = families.build_family(
+        "random_nfa", num_states=6, length=6, density=0.35, seed=11
+    )
+    workloads.extend((f"n={n}", length_nfa) for n in (4, 6))
+    workloads.extend(
+        (f"m={m}", families.build_family("random_nfa", **scaling_states_args(m)))
+        for m in (4, 8, 12)
+    )
+    suffix = families.build_family("suffix", pattern="0110")
+    workloads.extend((f"eps={epsilon}", suffix) for epsilon in (0.5, 0.3))
+    return workloads
 
 
 def _with_isolated_states(nfa: NFA, count: int) -> NFA:
@@ -193,7 +218,7 @@ def _assert_structurally_equal(rebuilt: NFA, original: NFA) -> None:
 
 
 class TestGeneratorRoundTrip:
-    """Property-based round trips over workloads.generator automata."""
+    """Property-based round trips over the experiment automata."""
 
     @pytest.mark.parametrize("name,nfa", _generator_workloads())
     def test_json_round_trip_is_lossless(self, name, nfa):
@@ -324,9 +349,12 @@ class TestUnserialisableLabels:
     def test_application_suite_tuple_states(self):
         # RPQ product automata have tuple states: unrepresentable in the
         # text format (clear error), fine in JSON via stringification.
-        workloads = list(generator.application_suite())
-        assert workloads
-        nfa = workloads[0].nfa
+        edges = random_labeled_graph(8, 20, labels=("a", "b", "c"), seed=23)
+        database = GraphDatabase.from_edges(edges)
+        nodes = sorted(database.nodes)
+        query = RegularPathQuery(nodes[0], "(a|b)*c", nodes[-1], max_length=6)
+        nfa = RPQCounter(database, query, semantics="labels").product_automaton()
+        assert all(isinstance(state, tuple) for state in nfa.states)
         with pytest.raises(AutomatonError):
             nfa_to_text(nfa)
         rebuilt = loads(dumps(nfa))

@@ -1,20 +1,11 @@
-"""Tests for NFA families, random generators and workload suites."""
+"""Tests for NFA families and random generators."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.automata import families, random_gen
-from repro.automata.exact import count_exact
 from repro.automata.regex import compile_regex
-from repro.workloads.generator import (
-    Workload,
-    accuracy_suite,
-    application_suite,
-    scaling_suite_epsilon,
-    scaling_suite_length,
-    scaling_suite_states,
-)
 
 
 class TestFamilies:
@@ -74,14 +65,6 @@ class TestFamilies:
         nfa = families.substring_nfa(101)
         assert nfa.accepts("0101")
 
-    def test_default_benchmark_suite_members(self):
-        suite = families.default_benchmark_suite()
-        assert len(suite) >= 6
-        names = [name for name, _nfa in suite]
-        assert len(names) == len(set(names))
-        for _name, nfa in suite:
-            assert nfa.num_states >= 1
-
 
 class TestRandomGenerators:
     def test_random_nfa_reproducible(self):
@@ -133,40 +116,3 @@ class TestRandomGenerators:
         for source, label, target in edges:
             assert label in ("a", "b")
             assert source.startswith("v") and target.startswith("v")
-
-
-class TestWorkloadSuites:
-    def test_workload_exact_count_and_description(self):
-        workload = Workload(name="fib", nfa=families.no_consecutive_ones_nfa(), length=6)
-        assert workload.exact_count() == count_exact(workload.nfa, 6)
-        assert workload.describe()["name"] == "fib"
-        assert workload.num_states == 2
-
-    def test_accuracy_suite_contents(self):
-        suite = accuracy_suite(length=6)
-        assert len(suite) >= 6
-        assert len(set(suite.names())) == len(suite)
-        for workload in suite:
-            assert workload.length == 6
-
-    def test_scaling_length_suite_shares_automaton(self):
-        suite = scaling_suite_length(lengths=(3, 5, 7))
-        automata = {id(workload.nfa) for workload in suite}
-        assert len(automata) == 1
-        assert [workload.length for workload in suite] == [3, 5, 7]
-
-    def test_scaling_states_suite_sizes(self):
-        suite = scaling_suite_states(state_counts=(3, 5), length=6)
-        assert [workload.num_states for workload in suite] == [3, 5]
-        for workload in suite:
-            assert not workload.nfa.is_empty_slice(6)
-
-    def test_scaling_epsilon_suite(self):
-        suite = scaling_suite_epsilon(epsilons=(1.0, 0.5), length=6)
-        assert [workload.epsilon for workload in suite] == [1.0, 0.5]
-
-    def test_application_suite_products_nonempty(self):
-        suite = application_suite(seed=3)
-        assert len(suite) == 3
-        for workload in suite:
-            assert workload.nfa.num_states >= 1

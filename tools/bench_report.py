@@ -45,7 +45,7 @@ import time
 from statistics import median
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.audit.manifest import _numpy_version, run_scenarios, write_manifest
+from repro.audit.manifest import run_scenarios, write_manifest
 from repro.audit.scenarios import Scenario, expand_matrix
 from repro.corpus import corpus_matrix_spec
 
@@ -100,7 +100,7 @@ CORPUS_SPEC: Mapping[str, object] = corpus_matrix_spec(
     scale=SCALE,
 )
 
-#: Appended to :data:`BENCH_SPECS` when numpy is importable.
+#: The numpy block backend on a 256-state automaton.
 NUMPY_SPEC: Mapping[str, object] = {
     "families": [{"family": "divisibility", "args": {"divisor": 256},
                   "lengths": [8]}],
@@ -113,10 +113,8 @@ NUMPY_SPEC: Mapping[str, object] = {
 
 
 def bench_scenarios() -> List[Scenario]:
-    """The flat scenario list the bench manifest runs (numpy-gated)."""
-    specs = list(BENCH_SPECS) + [CORPUS_SPEC]
-    if _numpy_version() is not None:
-        specs.append(NUMPY_SPEC)
+    """The flat scenario list the bench manifest runs."""
+    specs = list(BENCH_SPECS) + [CORPUS_SPEC, NUMPY_SPEC]
     scenarios: List[Scenario] = []
     for spec in specs:
         scenarios.extend(expand_matrix(spec))
